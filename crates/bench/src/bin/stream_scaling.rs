@@ -117,7 +117,7 @@ fn measure(streams: usize, mode: BackpressureMode, frames: usize) -> Run {
     let telemetry: Vec<StreamTelemetry> = results.iter().map(|r| r.telemetry.clone()).collect();
     let aggregate_fps = StreamTelemetry::aggregate_fps(&telemetry);
     let dropped = telemetry.iter().map(|t| t.frames_dropped).sum();
-    let maps: Vec<f64> = results.into_iter().map(|r| pose_outcome(r).map).collect();
+    let maps: Vec<f64> = results.into_iter().map(|r| pose_outcome(r.capture, r.task).map).collect();
     let mean_map = maps.iter().sum::<f64>() / maps.len().max(1) as f64;
     Run { streams, mode, sequential_s, staged_s, aggregate_fps, mean_map, dropped, telemetry }
 }

@@ -155,6 +155,16 @@ pub fn render_sarif(findings: &[Finding], files_scanned: usize) -> String {
         .unwrap_or_else(|e| format!("{{\"error\": \"sarif serialization failed: {e}\"}}"))
 }
 
+/// Renders the lint catalog (`--list`).
+pub fn render_lints() -> String {
+    let mut out = String::from("rpr-check lints:\n");
+    for l in LINTS {
+        out.push_str(&format!("  {}  {:<16} {}\n", l.id, l.name, l.description));
+    }
+    out.push_str("\nwaiver syntax: // rpr-check: allow(<lint-name>): <justification>\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +221,4 @@ mod tests {
         assert!(rendered.contains("constructor guarantees non-empty"));
         assert!(rendered.contains("\"level\": \"error\""));
     }
-}
-
-/// Renders the lint catalog (`--list`).
-pub fn render_lints() -> String {
-    let mut out = String::from("rpr-check lints:\n");
-    for l in LINTS {
-        out.push_str(&format!("  {}  {:<16} {}\n", l.id, l.name, l.description));
-    }
-    out.push_str("\nwaiver syntax: // rpr-check: allow(<lint-name>): <justification>\n");
-    out
 }

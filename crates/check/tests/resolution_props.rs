@@ -36,11 +36,16 @@ fn evidence() -> impl Strategy<Value = Evidence> {
     })
 }
 
+/// Source files as (path, contents).
+type Files = Vec<(String, String)>;
+/// Ground-truth call edges as (caller fn, target file, target fn).
+type Edges = Vec<(String, String, String)>;
+
 /// Builds the workspace sources: one file per type (every type gets
 /// the same-named `act` / `make` members), one caller file, and the
 /// ground-truth list of (caller fn, target file, target fn) edges.
-fn build_sources(calls: &[(usize, Evidence)], ntypes: usize) -> (Vec<(String, String)>, Vec<(String, String, String)>) {
-    let mut files: Vec<(String, String)> = (0..ntypes)
+fn build_sources(calls: &[(usize, Evidence)], ntypes: usize) -> (Files, Edges) {
+    let mut files: Files = (0..ntypes)
         .map(|i| {
             (
                 format!("t{i}.rs"),

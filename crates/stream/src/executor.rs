@@ -1,5 +1,6 @@
-//! The single-stream staged executor: one worker thread per stage,
-//! bounded queues between them, and the task→capture feedback edge.
+//! The single-stream executor: a source thread feeding a bounded `raw`
+//! queue, and one lock-step capture→task loop on the calling thread
+//! that closes the task→capture feedback edge frame by frame.
 
 use crate::queue::{BackpressureMode, StageQueue};
 use crate::stage::{CaptureStage, Feedback, FrameSource, StreamConfig, TaskStage};
@@ -19,15 +20,40 @@ pub struct StreamResult<CaptureSummary, TaskOutput> {
     pub telemetry: StreamTelemetry,
 }
 
-/// Runs one stream to completion on three dedicated stage workers.
+/// Runs one stream's stages in a plain loop on the calling thread — the
+/// synchronous reference [`run_stream`] reproduces under
+/// [`BackpressureMode::Block`]. Frame 0 sees empty feedback, every
+/// later frame sees the task's feedback on the frame before it, and no
+/// frame is ever degraded. Returns the capture summary and task output.
+pub fn run_sync<S, C, T>(mut source: S, mut capture: C, mut task: T) -> (C::Summary, T::Output)
+where
+    S: FrameSource,
+    C: CaptureStage<Frame = S::Frame>,
+    T: TaskStage<Input = C::Output>,
+{
+    let mut feedback = Feedback::empty();
+    let mut idx = 0u64;
+    while let Some(frame) = source.next_frame() {
+        let out = capture.process(frame, &feedback, false);
+        feedback = task.consume(idx, out);
+        idx += 1;
+    }
+    (capture.finish(), task.finish())
+}
+
+/// Runs one stream to completion: the source on its own thread, capture
+/// and task in lock-step on the calling thread.
 ///
-/// The capture worker waits for the task's feedback on frame *t−1*
-/// before encoding frame *t* (the first frame uses empty feedback), so
-/// under [`BackpressureMode::Block`] the stream's outputs are
-/// bit-identical to a synchronous loop over the same stages. Under
-/// `DropOldest` the source→capture queue evicts stale raw frames;
-/// under `Degrade` the capture stage is told to lower its rhythm
-/// whenever the source found the queue full.
+/// The source pushes into the `raw` queue, where the backpressure mode
+/// acts. The calling thread takes each raw frame, encodes it under the
+/// task's feedback on the frame before it (the first frame uses empty
+/// feedback), and hands the result straight to the task. Capture and
+/// task never overlap within a stream, so a second thread between them
+/// would buy nothing; parallelism comes from running many streams. Under
+/// [`BackpressureMode::Block`] the outputs are bit-identical to
+/// [`run_sync`] over the same stages. Under `DropOldest` the raw queue
+/// evicts stale frames; under `Degrade` the capture stage is told to
+/// lower its rhythm whenever the source found the queue full.
 pub fn run_stream<S, C, T>(
     stream_id: usize,
     mut source: S,
@@ -42,13 +68,6 @@ where
 {
     let raw_q: StageQueue<(u64, S::Frame)> =
         StageQueue::new("raw", config.raw_capacity, config.backpressure);
-    let proc_q: StageQueue<(u64, C::Output)> =
-        StageQueue::new("proc", config.proc_capacity, BackpressureMode::Block);
-    // Lock-step bounds in-flight feedback to one entry; the extra
-    // headroom covers the tail frames the task drains after the
-    // capture worker has already exited.
-    let fb_q: StageQueue<Feedback> =
-        StageQueue::new("feedback", config.proc_capacity + 1, BackpressureMode::Block);
 
     let started = Instant::now();
     let (capture_summary, task_output, stage_stats) = std::thread::scope(|scope| {
@@ -57,12 +76,7 @@ where
             let mut stats = StageTelemetry::new("source");
             let mut idx = 0u64;
             loop {
-                let mut span = rpr_trace::span(rpr_trace::names::STAGE_SOURCE, "stream")
-                    .with_frame(idx);
-                if let Some(base) = config.trace_ctx {
-                    span = span.with_ctx(base.for_frame(idx));
-                }
-                let _span = span;
+                let _span = stage_span(rpr_trace::names::STAGE_SOURCE, idx, config.trace_ctx);
                 let t0 = Instant::now();
                 let Some(frame) = source.next_frame() else { break };
                 stats.latency.record(t0.elapsed());
@@ -76,110 +90,58 @@ where
             stats
         });
 
-        let capture_worker = scope.spawn(|| {
-            rpr_trace::thread_label(rpr_trace::names::STAGE_CAPTURE);
-            let mut stats = StageTelemetry::new("capture");
-            let mut feedback = Feedback::empty();
-            let mut first = true;
-            // Under lossless Block backpressure, raw frames are drained
-            // in batches to amortize the queue crossing; the per-frame
-            // feedback lock-step below is untouched, so outputs stay
-            // bit-identical to the synchronous loop. The lossy modes
-            // keep per-frame pops: a frame parked in a local batch
-            // could neither be evicted for freshness (DropOldest) nor
-            // observe pressure promptly (Degrade).
-            let batch_raw = config.backpressure == BackpressureMode::Block;
-            let mut batch: Vec<(u64, S::Frame)> = Vec::new();
-            'outer: loop {
-                batch.clear();
-                if batch_raw {
-                    if raw_q.pop_up_to(config.raw_capacity.max(1), &mut batch) == 0 {
-                        break;
-                    }
-                } else {
-                    match raw_q.pop() {
-                        Some(item) => batch.push(item),
-                        None => break,
-                    }
-                }
-                for (idx, frame) in batch.drain(..) {
-                    if first {
-                        first = false;
-                    } else {
-                        match fb_q.pop() {
-                            Some(fb) => feedback = fb,
-                            None => break 'outer,
-                        }
-                    }
-                    let degraded = raw_q.take_pressure();
-                    if degraded {
-                        stats.degraded_frames += 1;
-                    }
-                    let mut span = rpr_trace::span(rpr_trace::names::STAGE_CAPTURE, "stream")
-                        .with_frame(idx);
-                    if let Some(base) = config.trace_ctx {
-                        span = span.with_ctx(base.for_frame(idx));
-                    }
-                    let t0 = Instant::now();
-                    let out = capture.process(frame, &feedback, degraded);
-                    stats.latency.record(t0.elapsed());
-                    drop(span);
-                    stats.frames += 1;
-                    if !proc_q.push((idx, out)) {
-                        break 'outer;
-                    }
-                }
-            }
-            proc_q.close();
-            fb_q.close();
-            (capture.finish(), stats)
-        });
-
-        let task_worker = scope.spawn(|| {
-            rpr_trace::thread_label(rpr_trace::names::STAGE_TASK);
-            let mut stats = StageTelemetry::new("task");
-            // Batch-drain the proc queue: one lock crossing per batch.
-            // The batch never exceeds proc_capacity items and at most
-            // one feedback was in flight when it was taken, so the
-            // feedback pushes below fit fb_q's proc_capacity + 1 slots
-            // without ever blocking — no deadlock against a capture
-            // worker stalled on a full proc queue.
-            let mut batch: Vec<(u64, T::Input)> = Vec::new();
-            loop {
-                batch.clear();
-                if proc_q.pop_up_to(config.proc_capacity.max(1), &mut batch) == 0 {
+        let mut capture_stats = StageTelemetry::new("capture");
+        let mut task_stats = StageTelemetry::new("task");
+        let mut feedback = Feedback::empty();
+        // Under lossless Block backpressure, raw frames are drained in
+        // batches to amortize the queue crossing. The lossy modes keep
+        // per-frame pops: a frame parked in a local batch could neither
+        // be evicted for freshness (DropOldest) nor observe pressure
+        // promptly (Degrade).
+        let batch_raw = config.backpressure == BackpressureMode::Block;
+        let mut batch: Vec<(u64, S::Frame)> = Vec::new();
+        loop {
+            batch.clear();
+            if batch_raw {
+                if raw_q.pop_up_to(config.raw_capacity.max(1), &mut batch) == 0 {
                     break;
                 }
-                for (idx, input) in batch.drain(..) {
-                    let mut span = rpr_trace::span(rpr_trace::names::STAGE_TASK, "stream")
-                        .with_frame(idx);
-                    if let Some(base) = config.trace_ctx {
-                        span = span.with_ctx(base.for_frame(idx));
-                    }
-                    let t0 = Instant::now();
-                    let fb = task.consume(idx, input);
-                    stats.latency.record(t0.elapsed());
-                    drop(span);
-                    stats.frames += 1;
-                    fb_q.push(fb);
+            } else {
+                match raw_q.pop() {
+                    Some(item) => batch.push(item),
+                    None => break,
                 }
             }
-            (task.finish(), stats)
-        });
+            for (idx, frame) in batch.drain(..) {
+                let degraded = raw_q.take_pressure();
+                if degraded {
+                    capture_stats.degraded_frames += 1;
+                }
+                let span = stage_span(rpr_trace::names::STAGE_CAPTURE, idx, config.trace_ctx);
+                let t0 = Instant::now();
+                let out = capture.process(frame, &feedback, degraded);
+                capture_stats.latency.record(t0.elapsed());
+                drop(span);
+                capture_stats.frames += 1;
+
+                let span = stage_span(rpr_trace::names::STAGE_TASK, idx, config.trace_ctx);
+                let t0 = Instant::now();
+                feedback = task.consume(idx, out);
+                task_stats.latency.record(t0.elapsed());
+                drop(span);
+                task_stats.frames += 1;
+            }
+        }
 
         let source_stats = source_worker.join().expect("source worker must not panic");
-        let (capture_summary, capture_stats) =
-            capture_worker.join().expect("capture worker must not panic");
-        let (task_output, task_stats) =
-            task_worker.join().expect("task worker must not panic");
-        (capture_summary, task_output, vec![source_stats, capture_stats, task_stats])
+        (capture.finish(), task.finish(), vec![source_stats, capture_stats, task_stats])
     });
     let wall = started.elapsed().as_secs_f64();
 
-    let queues = vec![raw_q.telemetry(), proc_q.telemetry(), fb_q.telemetry()];
+    let queues = vec![raw_q.telemetry()];
     let frames_in = stage_stats[0].frames;
     let frames_out = stage_stats[2].frames;
-    let frames_dropped: u64 = queues.iter().map(|q| q.dropped).sum();
+    let frames_dropped = queues[0].dropped;
     let telemetry = StreamTelemetry {
         stream_id,
         frames_in,
@@ -191,6 +153,20 @@ where
         stages: stage_stats,
     };
     StreamResult { stream_id, capture: capture_summary, task: task_output, telemetry }
+}
+
+/// The span of one stage's work on frame `idx`, carrying the stream's
+/// serving-side identity when it has one.
+fn stage_span(
+    name: &'static str,
+    idx: u64,
+    ctx: Option<rpr_trace::FrameCtx>,
+) -> rpr_trace::Span {
+    let span = rpr_trace::span(name, "stream").with_frame(idx);
+    match ctx {
+        Some(base) => span.with_ctx(base.for_frame(idx)),
+        None => span,
+    }
 }
 
 #[cfg(test)]
@@ -267,18 +243,13 @@ mod tests {
     #[test]
     fn matches_the_synchronous_loop_exactly() {
         let staged = run(20, StreamConfig::blocking());
-        // Synchronous reference: same stages, one loop.
-        let mut sync_seen = Vec::new();
-        let mut sync_total = 0u64;
-        let mut fb_detections = 0usize;
-        for t in 0..20u32 {
-            sync_seen.push((t, fb_detections, false));
-            let out = t * 2 + fb_detections as u32;
-            sync_total += u64::from(out);
-            fb_detections = 1; // Summer always reports one detection.
-        }
+        let (sync_seen, sync_total) =
+            run_sync(Counter { next: 0, n: 20 }, Doubler { seen: vec![] }, Summer { total: 0 });
         assert_eq!(staged.capture, sync_seen);
         assert_eq!(staged.task, sync_total);
+        // Summer always reports one detection, so frame t sees 1 from t = 1.
+        let expected: u64 = (0..20u64).map(|t| t * 2 + u64::from(t > 0)).sum();
+        assert_eq!(sync_total, expected);
         assert_eq!(staged.telemetry.frames_in, 20);
         assert_eq!(staged.telemetry.frames_out, 20);
         assert_eq!(staged.telemetry.frames_dropped, 0);
@@ -303,6 +274,8 @@ mod tests {
             assert_eq!(stage.frames, 12);
             assert_eq!(stage.latency.count, 12);
         }
+        // One queue per stream: the source→capture `raw` edge.
+        assert_eq!(staged.telemetry.queues.len(), 1);
         assert_eq!(staged.telemetry.queues[0].name, "raw");
         assert_eq!(staged.telemetry.queues[0].pushed, 12);
         assert!(staged.telemetry.end_to_end_fps > 0.0);
@@ -317,7 +290,6 @@ mod tests {
             50,
             StreamConfig {
                 raw_capacity: 1,
-                proc_capacity: 1,
                 backpressure: BackpressureMode::DropOldest,
                 ..Default::default()
             },

@@ -1,11 +1,12 @@
 //! Multiplexing N camera streams over a shared worker pool.
 //!
 //! The unit of work a pool worker claims is a *whole stream*, not a
-//! stage: each claimed stream internally runs its three stage workers
-//! via [`run_stream`]. Claiming whole streams keeps the pool
-//! deadlock-free at any size — per-stage jobs would wedge the moment
-//! the pool is smaller than the stage count, with a capture job
-//! blocked on a task job that never gets a worker.
+//! stage: the worker runs the stream's capture→task loop itself via
+//! [`run_stream`], which adds one source thread. Claiming whole streams
+//! keeps the pool deadlock-free at any size — per-stage jobs would
+//! wedge the moment the pool is smaller than the stage count, with a
+//! capture job waiting on frames from a source job that never gets a
+//! worker.
 
 use crate::executor::{run_stream, StreamResult};
 use crate::stage::{CaptureStage, FrameSource, StreamConfig, TaskStage};
@@ -22,7 +23,7 @@ pub struct StreamSpec<S, C, T> {
     pub capture: C,
     /// Stage 3: the vision task.
     pub task: T,
-    /// Queue sizing and backpressure.
+    /// Raw-queue sizing and backpressure.
     pub config: StreamConfig,
 }
 
@@ -67,7 +68,8 @@ impl StreamManager {
 
     /// Runs every spec to completion and returns the results in spec
     /// order. At most `workers()` streams run at any moment; each
-    /// running stream additionally scopes its own three stage threads.
+    /// running stream's capture and task run on its worker, and it
+    /// additionally scopes one source thread.
     #[allow(clippy::type_complexity)]
     pub fn run_all<S, C, T>(
         &self,

@@ -1,24 +1,25 @@
 //! The stage contracts of the capture pipeline.
 //!
-//! A stream is three workers — source, capture, task — connected by
-//! bounded queues, plus a feedback edge running backwards from the
-//! task to the capture stage (the paper's §4.3 application loop: what
-//! the task extracted from frame *t−1* decides the region labels of
-//! frame *t*):
+//! A stream is three stages — source, capture, task — plus a feedback
+//! edge running backwards from the task to the capture stage (the
+//! paper's §4.3 application loop: what the task extracted from frame
+//! *t−1* decides the region labels of frame *t*). The executor runs
+//! them on two threads joined by one bounded queue:
 //!
 //! ```text
-//!   source ──raw──▶ capture ──proc──▶ task
-//!                      ▲                │
-//!                      └───feedback─────┘
+//!   source ──raw──▶ capture ──▶ task
+//!   (thread)           ▲          │    (calling thread)
+//!                      └─feedback─┘
 //! ```
 //!
-//! The feedback edge makes the capture and task stages lock-step (the
-//! capture stage waits for frame t−1's feedback before encoding frame
-//! t), which is exactly what keeps the staged executor's output
-//! bit-identical to the synchronous pipeline. Throughput scaling
-//! therefore comes from running *many streams* concurrently, not from
-//! racing ahead within one stream — matching a real multi-camera
-//! system, where each sensor's feedback loop is causally serial.
+//! The feedback edge makes the capture and task stages lock-step (frame
+//! t is encoded only after the task returned frame t−1's feedback), so
+//! the executor runs both in one loop on one thread, which is what
+//! keeps its output bit-identical to the synchronous pipeline.
+//! Throughput scaling therefore comes from running *many streams*
+//! concurrently, not from racing ahead within one stream — matching a
+//! real multi-camera system, where each sensor's feedback loop is
+//! causally serial.
 
 use crate::queue::BackpressureMode;
 use rpr_core::Feature;
@@ -99,7 +100,7 @@ pub trait TaskStage: Send {
 /// stage's region policy sees it — e.g. forward-projecting t−1
 /// detections by estimated camera motion so the labels land where the
 /// objects will be at frame t. The transform runs inside the capture
-/// worker, so it keeps the lock-step determinism contract: same
+/// stage, so it keeps the lock-step determinism contract: same
 /// frames + same feedback in ⇒ same rewritten feedback out.
 pub trait FeedbackTransform<Out>: Send {
     /// Observes one processed frame as it leaves the capture stage.
@@ -157,12 +158,10 @@ where
 pub struct StreamConfig {
     /// Capacity of the source→capture queue.
     pub raw_capacity: usize,
-    /// Capacity of the capture→task queue.
-    pub proc_capacity: usize,
-    /// Backpressure mode of the source→capture queue. The
-    /// capture→task queue always blocks: dropping *processed* frames
-    /// would break the task↔capture feedback lock-step and with it
-    /// the determinism guarantee.
+    /// Backpressure mode of the source→capture queue, the stream's only
+    /// queue. Capture hands its output straight to the task, so no
+    /// processed frame can be dropped and the feedback lock-step holds
+    /// in every mode.
     pub backpressure: BackpressureMode,
     /// Serving-side frame identity attached to every stage span this
     /// stream emits (the per-frame `frame_seq` is filled in from the
@@ -175,7 +174,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             raw_capacity: 4,
-            proc_capacity: 2,
             backpressure: BackpressureMode::Block,
             trace_ctx: None,
         }
@@ -188,7 +186,7 @@ impl StreamConfig {
         StreamConfig::default()
     }
 
-    /// Same queues under a different backpressure mode.
+    /// Same queue under a different backpressure mode.
     pub fn with_backpressure(mut self, mode: BackpressureMode) -> Self {
         self.backpressure = mode;
         self

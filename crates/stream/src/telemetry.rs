@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// telemetry schema and call sites are unchanged.
 pub use rpr_trace::{LatencyHistogram, LATENCY_BUCKETS_US};
 
-/// Telemetry for one stage worker of one stream.
+/// Telemetry for one stage of one stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageTelemetry {
     /// Stage name (`"source"`, `"capture"`, `"task"`).
@@ -62,9 +62,9 @@ pub struct StreamTelemetry {
     pub wall_time_s: f64,
     /// `frames_out / wall_time_s`.
     pub end_to_end_fps: f64,
-    /// One entry per inter-stage queue.
+    /// One entry per queue (the executor owns one: `raw`).
     pub queues: Vec<QueueTelemetry>,
-    /// One entry per stage worker.
+    /// One entry per stage.
     pub stages: Vec<StageTelemetry>,
 }
 

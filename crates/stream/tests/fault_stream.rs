@@ -235,7 +235,6 @@ fn blocking_stream_detects_every_fault_and_delivers_the_rest() {
 fn drop_oldest_stream_never_delivers_wrong_pixels() {
     let config = StreamConfig {
         raw_capacity: 2,
-        proc_capacity: 2,
         backpressure: BackpressureMode::DropOldest,
         ..Default::default()
     };
@@ -253,7 +252,6 @@ fn drop_oldest_stream_never_delivers_wrong_pixels() {
 fn degrade_stream_completes_with_faults_detected() {
     let config = StreamConfig {
         raw_capacity: 1,
-        proc_capacity: 1,
         backpressure: BackpressureMode::Degrade,
         ..Default::default()
     };

@@ -118,7 +118,7 @@ pub fn record_face(
         FaceTask::new(dataset),
         StreamConfig::blocking(),
     );
-    let outcome = face_outcome(result);
+    let outcome = face_outcome(result.capture, result.task);
     let (bytes, stats) = recorder.finish()?;
     Ok((outcome, bytes, stats))
 }
@@ -141,7 +141,7 @@ pub fn record_pose(
         PoseTask::new(dataset),
         StreamConfig::blocking(),
     );
-    let outcome = pose_outcome(result);
+    let outcome = pose_outcome(result.capture, result.task);
     let (bytes, stats) = recorder.finish()?;
     Ok((outcome, bytes, stats))
 }
@@ -164,7 +164,7 @@ pub fn record_slam(
         SlamTask::new(dataset),
         StreamConfig::blocking(),
     );
-    let outcome = slam_outcome(dataset, result);
+    let outcome = slam_outcome(dataset, result.capture, result.task);
     let (bytes, stats) = recorder.finish()?;
     Ok((outcome, bytes, stats))
 }

@@ -2,10 +2,12 @@
 //! [`Pipeline`] and the three vision tasks into `rpr-stream`'s stage
 //! contracts, plus one-call staged runners.
 //!
-//! Under [`StreamConfig`]'s blocking default the staged runners are
-//! bit-identical to the synchronous `run_*_with` reference loops (the
-//! feedback edge keeps capture and task in lock-step), which is
-//! asserted by this module's tests and the workspace property tests.
+//! The same stage objects drive both runners: `run_*_staged` through
+//! [`rpr_stream::run_stream`] and the synchronous `run_*_with` through
+//! [`rpr_stream::run_sync`]. Under [`StreamConfig`]'s blocking default
+//! the two are bit-identical (the feedback edge keeps capture and task
+//! in lock-step), which is asserted by this module's tests and the
+//! workspace property tests.
 //! The payoff is the multi-camera shape: `*_spec` constructors build
 //! [`StreamSpec`]s that a [`rpr_stream::StreamManager`] can multiplex
 //! over a shared worker pool.
@@ -20,8 +22,8 @@ use rpr_core::Feature;
 use rpr_frame::{GrayFrame, Rect};
 use rpr_sensor::CameraPose;
 use rpr_stream::{
-    run_stream, CaptureStage, Feedback, FrameSource, StreamConfig, StreamResult, StreamSpec,
-    StreamTelemetry, TaskStage,
+    run_stream, CaptureStage, Feedback, FrameSource, StreamConfig, StreamSpec, StreamTelemetry,
+    TaskStage,
 };
 use rpr_vision::{
     ate_rmse, detect_blobs, estimate_rigid_motion, match_descriptors, mean_average_precision,
@@ -102,8 +104,8 @@ impl CaptureStage for PipelineCapture {
 /// Per-frame evaluation pairs: (scored detections, ground-truth boxes).
 pub type FramesEval = Vec<(Vec<(Rect, f64)>, Vec<Rect>)>;
 
-/// The face-detection loop as a [`TaskStage`] (mirrors
-/// [`crate::tasks::run_face_with`] frame for frame).
+/// The face-detection task as a [`TaskStage`]: blob detection scored
+/// against ground truth, with face trajectories fed back as regions.
 #[derive(Debug)]
 pub struct FaceTask<'a> {
     dataset: &'a FaceDataset,
@@ -129,6 +131,10 @@ impl TaskStage for FaceTask<'_> {
     type Output = FramesEval;
 
     fn consume(&mut self, frame_idx: u64, processed: GrayFrame) -> Feedback {
+        // Faces: bright blobs of face-like area and aspect ratio, with
+        // resolved facial structure. A real face detector keys on the
+        // dark eye/mouth pattern; blur or downscaling erases it, which
+        // is the paper's FCL accuracy-loss mechanism.
         let frame_area = self.frame_area;
         let detections: Vec<(Rect, f64)> = detect_blobs(&processed, 150, frame_area / 900)
             .into_iter()
@@ -154,8 +160,9 @@ impl TaskStage for FaceTask<'_> {
     }
 }
 
-/// The pose-estimation loop as a [`TaskStage`] (mirrors
-/// [`crate::tasks::run_pose_with`] frame for frame).
+/// The pose-estimation task as a [`TaskStage`]: person detection
+/// scored against ground truth, with the tracked box fed back as a
+/// region.
 #[derive(Debug)]
 pub struct PoseTask<'a> {
     dataset: &'a PoseDataset,
@@ -181,6 +188,12 @@ impl TaskStage for PoseTask<'_> {
     type Output = FramesEval;
 
     fn consume(&mut self, frame_idx: u64, processed: GrayFrame) -> Feedback {
+        // The person is the single dominant bright blob — but a
+        // detection only counts when the skeleton is actually
+        // *resolved*: a real pose network needs crisp limb pixels, so
+        // we gate on the fraction of near-full-brightness pixels in the
+        // box (box-filter downscaling and blur wash these out, which is
+        // how FCL loses accuracy in the paper).
         let blobs = detect_blobs(&processed, 150, self.min_area.max(8));
         let detections: Vec<(Rect, f64)> = blobs
             .first()
@@ -192,6 +205,9 @@ impl TaskStage for PoseTask<'_> {
         self.frames_eval.push((detections.clone(), gts));
 
         let boxes: Vec<Rect> = detections.iter().map(|(r, _)| *r).collect();
+        // Articulated limbs move ~2x faster than the body centroid the
+        // box tracker measures; scale the proxy so swinging wrists and
+        // ankles are still sampled at an adequate temporal rate.
         let policy_detections = detection_displacements(&boxes, &self.prev_boxes, 8.0)
             .into_iter()
             .map(|(r, d)| (r, d * 2.0))
@@ -215,8 +231,8 @@ pub struct SlamTrack {
     pub tracking_failures: u32,
 }
 
-/// The visual-odometry loop as a [`TaskStage`] (mirrors
-/// [`crate::tasks::run_slam_with`] frame for frame).
+/// The visual-odometry task as a [`TaskStage`]: ORB features matched
+/// frame to frame into a camera trajectory, and fed back as regions.
 pub struct SlamTask {
     orb: OrbDetector,
     cx: f64,
@@ -242,6 +258,8 @@ impl std::fmt::Debug for SlamTask {
 impl SlamTask {
     /// A task tracking against `dataset`'s geometry.
     pub fn new(dataset: &SlamDataset) -> Self {
+        // Feature budget proportional to frame area (the paper's
+        // reference point is ~1500 features at 1080p).
         let area = u64::from(dataset.width()) * u64::from(dataset.height());
         let n_features = (area / 1400).clamp(60, 1500) as usize;
         SlamTask {
@@ -286,6 +304,8 @@ impl TaskStage for SlamTask {
                 .filter(|(_, inliers)| inliers.len() >= 8);
             let next = match estimate {
                 Some((rigid, _)) => {
+                    // Image transform v' = R(a) v + tau maps to camera
+                    // motion: theta' = theta - a; c' = c - R(theta') tau.
                     let theta = wrap_angle(prev_pose.theta - rigid.theta);
                     let (s, c) = theta.sin_cos();
                     CameraPose::new(
@@ -296,6 +316,7 @@ impl TaskStage for SlamTask {
                 }
                 None => {
                     self.tracking_failures += 1;
+                    // Constant-velocity fallback.
                     if t >= 2 {
                         let before = self.estimated[t - 2];
                         CameraPose::new(
@@ -311,6 +332,7 @@ impl TaskStage for SlamTask {
             self.estimated.push(next);
         }
 
+        // Feature hand-off to the policy: regions for the next frame.
         let policy_features = features
             .iter()
             .enumerate()
@@ -319,6 +341,8 @@ impl TaskStage for SlamTask {
                 y: f.keypoint.y,
                 size: f.keypoint.size,
                 octave: f.keypoint.octave,
+                // Unmatched (new) features count as fast so they are
+                // sampled densely until tracked.
                 displacement: displacement_of[i].unwrap_or(8.0),
             })
             .collect();
@@ -369,37 +393,37 @@ pub fn slam_spec<'a>(
         .with_config(stream)
 }
 
-/// Assembles a [`FaceOutcome`] from a completed face stream.
-pub fn face_outcome(result: StreamResult<Measurements, FramesEval>) -> FaceOutcome {
-    let frames_eval = result.task;
-    let map = mean_average_precision(&frames_eval, 0.5);
+/// IoU-0.5 mean average precision over all frames, and each frame's
+/// average precision.
+fn detection_scores(frames_eval: &FramesEval) -> (f64, Vec<f64>) {
+    let map = mean_average_precision(frames_eval, 0.5);
     let per_frame_ap = frames_eval
         .iter()
         .map(|(d, g)| rpr_vision::average_precision(d, g, 0.5))
         .collect();
-    FaceOutcome { map, per_frame_ap, measurements: result.capture }
+    (map, per_frame_ap)
 }
 
-/// Assembles a [`PoseOutcome`] from a completed pose stream.
-pub fn pose_outcome(result: StreamResult<Measurements, FramesEval>) -> PoseOutcome {
-    let frames_eval = result.task;
-    let map = mean_average_precision(&frames_eval, 0.5);
-    let per_frame_ap = frames_eval
-        .iter()
-        .map(|(d, g)| rpr_vision::average_precision(d, g, 0.5))
-        .collect();
-    PoseOutcome { map, per_frame_ap, measurements: result.capture }
+/// Assembles a [`FaceOutcome`] from a face stream's capture summary and
+/// task output.
+pub fn face_outcome(measurements: Measurements, frames_eval: FramesEval) -> FaceOutcome {
+    let (map, per_frame_ap) = detection_scores(&frames_eval);
+    FaceOutcome { map, per_frame_ap, measurements }
 }
 
-/// Assembles a [`SlamOutcome`] from a completed SLAM stream.
-pub fn slam_outcome(dataset: &SlamDataset, result: StreamResult<Measurements, SlamTrack>) -> SlamOutcome {
+/// Assembles a [`PoseOutcome`] from a pose stream's capture summary and
+/// task output.
+pub fn pose_outcome(measurements: Measurements, frames_eval: FramesEval) -> PoseOutcome {
+    let (map, per_frame_ap) = detection_scores(&frames_eval);
+    PoseOutcome { map, per_frame_ap, measurements }
+}
+
+/// Assembles a [`SlamOutcome`] from a SLAM stream's capture summary and
+/// tracked trajectory.
+pub fn slam_outcome(dataset: &SlamDataset, measurements: Measurements, track: SlamTrack) -> SlamOutcome {
     let mm = dataset.mm_per_px;
-    let estimated_mm: Vec<Pose2d> = result
-        .task
-        .estimated
-        .iter()
-        .map(|p| Pose2d::new(p.x * mm, p.y * mm, p.theta))
-        .collect();
+    let estimated_mm: Vec<Pose2d> =
+        track.estimated.iter().map(|p| Pose2d::new(p.x * mm, p.y * mm, p.theta)).collect();
     let gt_mm = dataset.gt_trajectory_mm();
     let ate = ate_rmse(&estimated_mm, &gt_mm).unwrap_or(f64::NAN);
     let rpe = relative_pose_error(&estimated_mm, &gt_mm, 1);
@@ -407,9 +431,9 @@ pub fn slam_outcome(dataset: &SlamDataset, result: StreamResult<Measurements, Sl
         ate_mm: ate,
         rpe_translational_mm: rpe.map_or(f64::NAN, |r| r.translational_rmse),
         rpe_rotational_deg: rpe.map_or(f64::NAN, |r| r.rotational_rmse.to_degrees()),
-        tracking_failures: result.task.tracking_failures,
+        tracking_failures: track.tracking_failures,
         estimated_mm,
-        measurements: result.capture,
+        measurements,
     }
 }
 
@@ -421,9 +445,8 @@ pub fn run_face_staged(
     stream: StreamConfig,
 ) -> (FaceOutcome, StreamTelemetry) {
     let spec = face_spec(dataset, cfg, stream);
-    let result = run_stream(0, spec.source, spec.capture, spec.task, spec.config);
-    let telemetry = result.telemetry.clone();
-    (face_outcome(result), telemetry)
+    let r = run_stream(0, spec.source, spec.capture, spec.task, spec.config);
+    (face_outcome(r.capture, r.task), r.telemetry)
 }
 
 /// Runs the pose workload through the staged executor as one stream.
@@ -433,9 +456,8 @@ pub fn run_pose_staged(
     stream: StreamConfig,
 ) -> (PoseOutcome, StreamTelemetry) {
     let spec = pose_spec(dataset, cfg, stream);
-    let result = run_stream(0, spec.source, spec.capture, spec.task, spec.config);
-    let telemetry = result.telemetry.clone();
-    (pose_outcome(result), telemetry)
+    let r = run_stream(0, spec.source, spec.capture, spec.task, spec.config);
+    (pose_outcome(r.capture, r.task), r.telemetry)
 }
 
 /// Runs the SLAM workload through the staged executor as one stream.
@@ -445,9 +467,8 @@ pub fn run_slam_staged(
     stream: StreamConfig,
 ) -> (SlamOutcome, StreamTelemetry) {
     let spec = slam_spec(dataset, cfg, stream);
-    let result = run_stream(0, spec.source, spec.capture, spec.task, spec.config);
-    let telemetry = result.telemetry.clone();
-    (slam_outcome(dataset, result), telemetry)
+    let r = run_stream(0, spec.source, spec.capture, spec.task, spec.config);
+    (slam_outcome(dataset, r.capture, r.task), r.telemetry)
 }
 
 #[cfg(test)]
@@ -457,7 +478,7 @@ mod tests {
     use crate::Baseline;
 
     /// Byte-identical equivalence between the staged executor (Block
-    /// mode) and the synchronous reference loop, via serialized JSON.
+    /// mode) and `run_sync` over the same stages, via serialized JSON.
     #[test]
     fn staged_face_matches_synchronous_exactly() {
         let ds = FaceDataset::new(128, 96, 12, 2, 5);
@@ -501,7 +522,7 @@ mod tests {
     fn degrade_mode_still_processes_every_frame() {
         let ds = PoseDataset::new(128, 96, 10, 3);
         let cfg = PipelineConfig::new(128, 96, Baseline::Rp { cycle_length: 5 });
-        let stream = StreamConfig { raw_capacity: 1, proc_capacity: 1, ..Default::default() }
+        let stream = StreamConfig { raw_capacity: 1, ..Default::default() }
             .with_backpressure(rpr_stream::BackpressureMode::Degrade);
         let (out, telemetry) = run_pose_staged(&ds, cfg, stream);
         assert_eq!(telemetry.frames_out, 10, "degrade never drops frames");

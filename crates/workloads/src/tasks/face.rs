@@ -3,12 +3,12 @@
 //! face trajectories ("we use face trajectory for face detection …
 //! for determining the regions", §5.3.2).
 
-use super::detection_displacements;
 use crate::datasets::{FaceDataset, VideoDataset};
-use crate::runner::{Measurements, Pipeline, PipelineConfig};
+use crate::runner::{Measurements, PipelineConfig};
+use crate::staged::{face_outcome, face_spec, run_face_staged};
 use crate::Baseline;
 use rpr_frame::Rect;
-use rpr_vision::{detect_blobs, mean_average_precision};
+use rpr_stream::{run_sync, StreamConfig};
 use serde::{Deserialize, Serialize};
 
 /// Result of one face-detection run.
@@ -24,56 +24,18 @@ pub struct FaceOutcome {
 
 /// Runs the face workload on `dataset` under `baseline`, as a 1-stream
 /// instance of the staged executor (bit-identical to the synchronous
-/// [`run_face_with`] reference under blocking backpressure).
+/// [`run_face_with`] under blocking backpressure).
 pub fn run_face(dataset: &FaceDataset, baseline: Baseline) -> FaceOutcome {
-    crate::staged::run_face_staged(
-        dataset,
-        PipelineConfig::new(dataset.width(), dataset.height(), baseline),
-        rpr_stream::StreamConfig::blocking(),
-    )
-    .0
+    let cfg = PipelineConfig::new(dataset.width(), dataset.height(), baseline);
+    run_face_staged(dataset, cfg, StreamConfig::blocking()).0
 }
 
-/// Runs the face workload with an explicit pipeline configuration.
+/// Runs the face workload with an explicit pipeline configuration: the
+/// face stream's stages under the synchronous [`rpr_stream::run_sync`].
 pub fn run_face_with(dataset: &FaceDataset, cfg: PipelineConfig) -> FaceOutcome {
-    let mut pipeline = Pipeline::new(cfg);
-    let frame_area = u64::from(dataset.width()) * u64::from(dataset.height());
-    let mut policy_detections: Vec<(Rect, f64)> = Vec::new();
-    let mut prev_boxes: Vec<Rect> = Vec::new();
-    let mut frames_eval = Vec::new();
-
-    for t in 0..dataset.len() {
-        let raw = dataset.frame(t);
-        let processed = pipeline.process_frame(&raw, Vec::new(), policy_detections.clone());
-
-        // Faces: bright blobs of face-like area and aspect ratio, with
-        // resolved facial structure. A real face detector keys on the
-        // dark eye/mouth pattern; blur or downscaling erases it, which
-        // is the paper's FCL accuracy-loss mechanism.
-        let detections: Vec<(Rect, f64)> = detect_blobs(&processed, 150, frame_area / 900)
-            .into_iter()
-            .filter(|b| {
-                let aspect = f64::from(b.bbox.h) / f64::from(b.bbox.w.max(1));
-                b.area < frame_area / 6
-                    && (0.6..=2.2).contains(&aspect)
-                    && eye_mouth_fraction(&processed, &b.bbox) >= 0.025
-            })
-            .map(|b| (b.bbox, b.area as f64))
-            .collect();
-        let gts = dataset.gt_bboxes(t);
-        frames_eval.push((detections.clone(), gts));
-
-        let boxes: Vec<Rect> = detections.iter().map(|(r, _)| *r).collect();
-        policy_detections = detection_displacements(&boxes, &prev_boxes, 8.0);
-        prev_boxes = boxes;
-    }
-
-    let map = mean_average_precision(&frames_eval, 0.5);
-    let per_frame_ap = frames_eval
-        .iter()
-        .map(|(d, g)| rpr_vision::average_precision(d, g, 0.5))
-        .collect();
-    FaceOutcome { map, per_frame_ap, measurements: pipeline.finish() }
+    let spec = face_spec(dataset, cfg, StreamConfig::blocking());
+    let (measurements, frames_eval) = run_sync(spec.source, spec.capture, spec.task);
+    face_outcome(measurements, frames_eval)
 }
 
 /// Fraction of dark (eye/mouth) pixels inside the inscribed ellipse of

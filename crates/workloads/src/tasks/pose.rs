@@ -3,12 +3,12 @@
 //! planned from the tracked person box ("skeletal pose joints for
 //! determining the regions", §5.3.2).
 
-use super::detection_displacements;
 use crate::datasets::{PoseDataset, VideoDataset};
-use crate::runner::{Measurements, Pipeline, PipelineConfig};
+use crate::runner::{Measurements, PipelineConfig};
+use crate::staged::{pose_outcome, pose_spec, run_pose_staged};
 use crate::Baseline;
 use rpr_frame::Rect;
-use rpr_vision::{detect_blobs, mean_average_precision};
+use rpr_stream::{run_sync, StreamConfig};
 use serde::{Deserialize, Serialize};
 
 /// Result of one pose-estimation run.
@@ -24,61 +24,18 @@ pub struct PoseOutcome {
 
 /// Runs the pose workload on `dataset` under `baseline`, as a 1-stream
 /// instance of the staged executor (bit-identical to the synchronous
-/// [`run_pose_with`] reference under blocking backpressure).
+/// [`run_pose_with`] under blocking backpressure).
 pub fn run_pose(dataset: &PoseDataset, baseline: Baseline) -> PoseOutcome {
-    crate::staged::run_pose_staged(
-        dataset,
-        PipelineConfig::new(dataset.width(), dataset.height(), baseline),
-        rpr_stream::StreamConfig::blocking(),
-    )
-    .0
+    let cfg = PipelineConfig::new(dataset.width(), dataset.height(), baseline);
+    run_pose_staged(dataset, cfg, StreamConfig::blocking()).0
 }
 
-/// Runs the pose workload with an explicit pipeline configuration.
+/// Runs the pose workload with an explicit pipeline configuration: the
+/// pose stream's stages under the synchronous [`rpr_stream::run_sync`].
 pub fn run_pose_with(dataset: &PoseDataset, cfg: PipelineConfig) -> PoseOutcome {
-    let mut pipeline = Pipeline::new(cfg);
-    let min_area = u64::from(dataset.width()) * u64::from(dataset.height()) / 600;
-    let mut policy_detections: Vec<(Rect, f64)> = Vec::new();
-    let mut prev_boxes: Vec<Rect> = Vec::new();
-    let mut frames_eval = Vec::new();
-
-    for t in 0..dataset.len() {
-        let raw = dataset.frame(t);
-        let processed = pipeline.process_frame(&raw, Vec::new(), policy_detections.clone());
-
-        // The person is the single dominant bright blob — but a
-        // detection only counts when the skeleton is actually
-        // *resolved*: a real pose network needs crisp limb pixels, so
-        // we gate on the fraction of near-full-brightness pixels in the
-        // box (box-filter downscaling and blur wash these out, which is
-        // how FCL loses accuracy in the paper).
-        let blobs = detect_blobs(&processed, 150, min_area.max(8));
-        let detections: Vec<(Rect, f64)> = blobs
-            .first()
-            .filter(|b| crisp_fraction(&processed, &b.bbox) >= 0.08)
-            .map(|b| (b.bbox, b.area as f64))
-            .into_iter()
-            .collect();
-        let gts = vec![dataset.gt_bbox(t)];
-        frames_eval.push((detections.clone(), gts));
-
-        let boxes: Vec<Rect> = detections.iter().map(|(r, _)| *r).collect();
-        // Articulated limbs move ~2x faster than the body centroid the
-        // box tracker measures; scale the proxy so swinging wrists and
-        // ankles are still sampled at an adequate temporal rate.
-        policy_detections = detection_displacements(&boxes, &prev_boxes, 8.0)
-            .into_iter()
-            .map(|(r, d)| (r, d * 2.0))
-            .collect();
-        prev_boxes = boxes;
-    }
-
-    let map = mean_average_precision(&frames_eval, 0.5);
-    let per_frame_ap = frames_eval
-        .iter()
-        .map(|(d, g)| rpr_vision::average_precision(d, g, 0.5))
-        .collect();
-    PoseOutcome { map, per_frame_ap, measurements: pipeline.finish() }
+    let spec = pose_spec(dataset, cfg, StreamConfig::blocking());
+    let (measurements, frames_eval) = run_sync(spec.source, spec.capture, spec.task);
+    pose_outcome(measurements, frames_eval)
 }
 
 /// Fraction of pixels in `bbox` at near-full skeleton brightness

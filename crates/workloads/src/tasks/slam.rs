@@ -5,14 +5,11 @@
 //! displacement → temporal rate.
 
 use crate::datasets::{SlamDataset, VideoDataset};
-use crate::runner::{Measurements, Pipeline, PipelineConfig};
+use crate::runner::{Measurements, PipelineConfig};
+use crate::staged::{run_slam_staged, slam_outcome, slam_spec};
 use crate::Baseline;
-use rpr_core::Feature;
-use rpr_sensor::CameraPose;
-use rpr_vision::{
-    ate_rmse, estimate_rigid_motion, match_descriptors, relative_pose_error, OrbConfig,
-    OrbDetector, Pose2d,
-};
+use rpr_stream::{run_sync, StreamConfig};
+use rpr_vision::Pose2d;
 use serde::{Deserialize, Serialize};
 
 /// Result of one V-SLAM run.
@@ -35,121 +32,18 @@ pub struct SlamOutcome {
 
 /// Runs visual odometry on `dataset` under `baseline`, as a 1-stream
 /// instance of the staged executor (bit-identical to the synchronous
-/// [`run_slam_with`] reference under blocking backpressure).
+/// [`run_slam_with`] under blocking backpressure).
 pub fn run_slam(dataset: &SlamDataset, baseline: Baseline) -> SlamOutcome {
-    crate::staged::run_slam_staged(
-        dataset,
-        PipelineConfig::new(dataset.width(), dataset.height(), baseline),
-        rpr_stream::StreamConfig::blocking(),
-    )
-    .0
+    let cfg = PipelineConfig::new(dataset.width(), dataset.height(), baseline);
+    run_slam_staged(dataset, cfg, StreamConfig::blocking()).0
 }
 
-/// Runs visual odometry with an explicit pipeline configuration.
+/// Runs visual odometry with an explicit pipeline configuration: the
+/// SLAM stream's stages under the synchronous [`rpr_stream::run_sync`].
 pub fn run_slam_with(dataset: &SlamDataset, cfg: PipelineConfig) -> SlamOutcome {
-    let width = dataset.width();
-    let height = dataset.height();
-    let mut pipeline = Pipeline::new(cfg);
-    // Feature budget proportional to frame area (the paper's reference
-    // point is ~1500 features at 1080p).
-    let area = u64::from(width) * u64::from(height);
-    let n_features = (area / 1400).clamp(60, 1500) as usize;
-    let orb = OrbDetector::new(OrbConfig { n_features, ..OrbConfig::default() });
-
-    let cx = f64::from(width) / 2.0;
-    let cy = f64::from(height) / 2.0;
-    let mut prev_features = Vec::new();
-    let mut policy_features: Vec<Feature> = Vec::new();
-    let mut estimated: Vec<CameraPose> = vec![dataset.gt_pose(0)];
-    let mut tracking_failures = 0u32;
-
-    for t in 0..dataset.len() {
-        let raw = dataset.frame(t);
-        let processed = pipeline.process_frame(&raw, policy_features.clone(), Vec::new());
-        let features = orb.detect(&processed);
-
-        let mut displacement_of: Vec<Option<f64>> = vec![None; features.len()];
-        if t > 0 {
-            let matches = match_descriptors(&prev_features, &features, 64, 0.8);
-            let pairs: Vec<((f64, f64), (f64, f64))> = matches
-                .iter()
-                .map(|m| {
-                    let p = prev_features[m.query].keypoint;
-                    let q = features[m.train].keypoint;
-                    ((p.x - cx, p.y - cy), (q.x - cx, q.y - cy))
-                })
-                .collect();
-            for m in &matches {
-                let p = prev_features[m.query].keypoint;
-                let q = features[m.train].keypoint;
-                displacement_of[m.train] = Some(p.distance(&q));
-            }
-
-            let prev_pose = estimated[t - 1];
-            let estimate = estimate_rigid_motion(&pairs, 150, 2.0, 0xB0B + t as u64)
-                .filter(|(_, inliers)| inliers.len() >= 8);
-            let next = match estimate {
-                Some((rigid, _)) => {
-                    // Image transform v' = R(a) v + tau maps to camera
-                    // motion: theta' = theta - a; c' = c - R(theta') tau.
-                    let theta = wrap_angle(prev_pose.theta - rigid.theta);
-                    let (s, c) = theta.sin_cos();
-                    CameraPose::new(
-                        prev_pose.x - (c * rigid.tx - s * rigid.ty),
-                        prev_pose.y - (s * rigid.tx + c * rigid.ty),
-                        theta,
-                    )
-                }
-                None => {
-                    tracking_failures += 1;
-                    // Constant-velocity fallback.
-                    if t >= 2 {
-                        let before = estimated[t - 2];
-                        CameraPose::new(
-                            2.0 * prev_pose.x - before.x,
-                            2.0 * prev_pose.y - before.y,
-                            wrap_angle(2.0 * prev_pose.theta - before.theta),
-                        )
-                    } else {
-                        prev_pose
-                    }
-                }
-            };
-            estimated.push(next);
-        }
-
-        // Feature hand-off to the policy: regions for the next frame.
-        policy_features = features
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Feature {
-                x: f.keypoint.x,
-                y: f.keypoint.y,
-                size: f.keypoint.size,
-                octave: f.keypoint.octave,
-                // Unmatched (new) features count as fast so they are
-                // sampled densely until tracked.
-                displacement: displacement_of[i].unwrap_or(8.0),
-            })
-            .collect();
-        prev_features = features;
-    }
-
-    let mm = dataset.mm_per_px;
-    let estimated_mm: Vec<Pose2d> =
-        estimated.iter().map(|p| Pose2d::new(p.x * mm, p.y * mm, p.theta)).collect();
-    let gt_mm = dataset.gt_trajectory_mm();
-    let ate = ate_rmse(&estimated_mm, &gt_mm).unwrap_or(f64::NAN);
-    let rpe = relative_pose_error(&estimated_mm, &gt_mm, 1);
-
-    SlamOutcome {
-        ate_mm: ate,
-        rpe_translational_mm: rpe.map_or(f64::NAN, |r| r.translational_rmse),
-        rpe_rotational_deg: rpe.map_or(f64::NAN, |r| r.rotational_rmse.to_degrees()),
-        tracking_failures,
-        estimated_mm,
-        measurements: pipeline.finish(),
-    }
+    let spec = slam_spec(dataset, cfg, StreamConfig::blocking());
+    let (measurements, track) = run_sync(spec.source, spec.capture, spec.task);
+    slam_outcome(dataset, measurements, track)
 }
 
 pub(crate) fn wrap_angle(t: f64) -> f64 {

@@ -44,7 +44,7 @@ fn main() {
     }
     for r in results {
         let id = r.stream_id;
-        let out = pose_outcome(r);
+        let out = pose_outcome(r.capture, r.task);
         println!(
             "  stream {id}: mAP {:.3}, traffic {:.2} MB/s",
             out.map, out.measurements.traffic.throughput_mb_s

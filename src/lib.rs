@@ -22,8 +22,9 @@
 //!   forward projection, and the predictive policy wrapper;
 //! * [`workloads`] — the three evaluation workloads, baselines, and
 //!   the experiment runner;
-//! * [`stream`] — the staged multi-camera executor: per-stage workers,
-//!   bounded queues with backpressure, and per-stage telemetry;
+//! * [`stream`] — the staged multi-camera executor: a source thread
+//!   and a lock-step capture→task loop per stream, a bounded raw queue
+//!   with backpressure, and per-stage telemetry;
 //! * [`wire`] — the `.rpr` wire format: a canonical little-endian
 //!   bitstream for encoded frames and a chunked, CRC-guarded container
 //!   with an O(1)-seek index, powering record/replay of capture

@@ -1,14 +1,18 @@
 //! Property tests for the staged executor's determinism contract: under
-//! blocking backpressure, a 1-stream staged run is byte-identical
-//! (compared through serialized JSON) to the synchronous reference loop
-//! for any dataset seed and baseline.
+//! blocking backpressure, a 1-stream `run_stream` run is byte-identical
+//! (compared through serialized JSON) to `run_sync` over the same
+//! stages for any dataset seed and baseline. Under the lossy modes the
+//! executor may drop or degrade frames, but never reorders or loses
+//! track of them.
 
 use proptest::prelude::*;
-use rhythmic_pixel_regions::stream::StreamConfig;
+use rhythmic_pixel_regions::stream::{
+    run_stream, BackpressureMode, Feedback, StreamConfig, TaskStage,
+};
 use rhythmic_pixel_regions::workloads::tasks::{run_face_with, run_pose_with, run_slam_with};
 use rhythmic_pixel_regions::workloads::{
-    run_face_staged, run_pose_staged, run_slam_staged, Baseline, FaceDataset, PipelineConfig,
-    PoseDataset, SlamDataset,
+    pose_outcome, pose_spec, run_face_staged, run_pose_staged, run_slam_staged, Baseline,
+    FaceDataset, PipelineConfig, PoseDataset, SlamDataset,
 };
 
 const W: u32 = 96;
@@ -27,7 +31,7 @@ fn baseline_strategy() -> impl Strategy<Value = Baseline> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Staged == synchronous for the pose workload.
+    /// Staged == `run_sync` for the pose workload.
     #[test]
     fn staged_pose_equals_synchronous(
         baseline in baseline_strategy(),
@@ -46,7 +50,7 @@ proptest! {
         prop_assert_eq!(telemetry.frames_dropped, 0);
     }
 
-    /// Staged == synchronous for the face workload.
+    /// Staged == `run_sync` for the face workload.
     #[test]
     fn staged_face_equals_synchronous(
         baseline in baseline_strategy(),
@@ -63,7 +67,7 @@ proptest! {
         );
     }
 
-    /// Staged == synchronous for the SLAM workload (the deepest state:
+    /// Staged == `run_sync` for the SLAM workload (the deepest state:
     /// ORB features, RANSAC seeding, and the estimated trajectory all
     /// must line up frame for frame).
     #[test]
@@ -80,5 +84,56 @@ proptest! {
             serde_json::to_string(&staged).unwrap(),
             serde_json::to_string(&sync).unwrap()
         );
+    }
+}
+
+/// A task wrapper recording the source index of every frame it consumed.
+struct Indexed<T> {
+    inner: T,
+    seen: Vec<u64>,
+}
+
+impl<T: TaskStage> TaskStage for Indexed<T> {
+    type Input = T::Input;
+    type Output = (T::Output, Vec<u64>);
+
+    fn consume(&mut self, frame_idx: u64, input: T::Input) -> Feedback {
+        self.seen.push(frame_idx);
+        self.inner.consume(frame_idx, input)
+    }
+
+    fn finish(self) -> Self::Output {
+        (self.inner.finish(), self.seen)
+    }
+}
+
+/// The lossy modes on a tiny raw queue: every source frame is either
+/// consumed or counted as dropped, the task sees source order, and
+/// `Degrade` lowers the rhythm instead of dropping.
+#[test]
+fn lossy_modes_account_for_every_frame_in_source_order() {
+    const FRAMES: usize = 16;
+    let ds = PoseDataset::new(W, H, FRAMES, 11);
+    let cfg = PipelineConfig::new(W, H, Baseline::Rp { cycle_length: 3 });
+    for mode in [BackpressureMode::DropOldest, BackpressureMode::Degrade] {
+        for raw_capacity in [1, 2] {
+            let stream = StreamConfig { raw_capacity, backpressure: mode, ..Default::default() };
+            let spec = pose_spec(&ds, cfg, stream);
+            let task = Indexed { inner: spec.task, seen: Vec::new() };
+            let r = run_stream(0, spec.source, spec.capture, task, spec.config);
+            let t = &r.telemetry;
+            let (frames_eval, seen) = r.task;
+            let label = format!("{mode:?}, raw_capacity {raw_capacity}");
+            assert_eq!(t.frames_in, FRAMES as u64, "{label}");
+            assert_eq!(t.frames_out + t.frames_dropped, t.frames_in, "{label}");
+            assert_eq!(seen.len() as u64, t.frames_out, "{label}");
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "{label}: indices {seen:?}");
+            assert!(seen.iter().all(|&i| i < FRAMES as u64), "{label}");
+            if mode == BackpressureMode::Degrade {
+                assert_eq!(t.frames_dropped, 0, "{label}: degrade never drops");
+            }
+            let outcome = pose_outcome(r.capture, frames_eval);
+            assert_eq!(outcome.per_frame_ap.len() as u64, t.frames_out, "{label}");
+        }
     }
 }
