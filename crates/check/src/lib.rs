@@ -195,6 +195,8 @@ mod tests {
             "crates/testkit/src/servefault.rs",
             "crates/serve/src/protocol.rs",
             "crates/serve/src/session.rs",
+            "crates/core/src/encoded.rs",
+            "crates/core/src/metadata.rs",
         ]),
         ("lints.truncating_cast.include", &[
             "crates/wire/src/",
@@ -202,6 +204,8 @@ mod tests {
             "crates/core/src/kernels.rs",
             "crates/core/src/pool.rs",
             "crates/serve/src/protocol.rs",
+            "crates/core/src/encoded.rs",
+            "crates/core/src/metadata.rs",
         ]),
         ("lints.panic_reach.include", &[
             "crates/wire/src/",
@@ -228,6 +232,10 @@ mod tests {
             "crates/core/src/pool.rs::BufferPool::put_vec",
             "crates/core/src/pool.rs::BufferPool::put_shared",
             "crates/core/src/pool.rs::BufferPool::put_words",
+            "crates/core/src/kernels.rs::count_regional",
+            "crates/core/src/encoded.rs::frame_digest",
+            "crates/core/src/encoded.rs::EncodedFrame::compute_integrity",
+            "crates/core/src/metadata.rs::FrameMetadata::is_consistent",
         ]),
         ("lints.event_loop_blocking.entries", &[
             "crates/serve/src/server.rs::Server::step",

@@ -252,7 +252,9 @@ impl SoftwareDecoder {
     }
 
     /// Validates an encoded frame before decoding it — the defensive
-    /// entry point for frames read back from untrusted storage.
+    /// entry point for frames read back from untrusted storage. A frame
+    /// that carries the validated marker ([`EncodedFrame::validated`])
+    /// skips the full check.
     ///
     /// # Errors
     ///
@@ -261,14 +263,32 @@ impl SoftwareDecoder {
     /// payload and metadata disagree; the decoder state is untouched on
     /// error.
     pub fn try_decode(&mut self, encoded: &EncodedFrame) -> Result<GrayFrame> {
+        self.check_geometry(encoded)?;
+        encoded.validate()?;
+        Ok(self.decode(encoded))
+    }
+
+    /// [`Self::try_decode`] taking the frame by value, so a valid frame
+    /// moves into the history without the clone `try_decode` makes.
+    /// Identical output, stats, and errors; a rejected frame is
+    /// dropped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::try_decode`].
+    pub fn try_decode_owned(&mut self, encoded: EncodedFrame) -> Result<GrayFrame> {
+        self.check_geometry(&encoded)?;
+        Ok(self.decode_owned(encoded.validated()?))
+    }
+
+    fn check_geometry(&self, encoded: &EncodedFrame) -> Result<()> {
         if (encoded.width(), encoded.height()) != (self.width, self.height) {
             return Err(crate::CoreError::GeometryMismatch {
                 expected: (self.width, self.height),
                 actual: (encoded.width(), encoded.height()),
             });
         }
-        encoded.validate()?;
-        Ok(self.decode(encoded))
+        Ok(())
     }
 
     /// Decodes a full frame, updating the history.
@@ -839,6 +859,60 @@ mod tests {
         assert!(one > 64);
         dec.decode(&enc.encode(&frame, 1, &list));
         assert_eq!(dec.history().resident_bytes(), 2 * one);
+    }
+
+    #[test]
+    fn owned_try_decode_matches_borrowed_try_decode() {
+        // Strided, temporally skipped, and overlapping regions exercise
+        // interpolation and history; every other frame is rebuilt
+        // unmarked so both the skip and the full check run. A corrupt
+        // frame must be refused by both without touching their state.
+        let regions = RegionList::new(
+            20,
+            12,
+            vec![RegionLabel::new(1, 1, 12, 8, 2, 1), RegionLabel::new(8, 3, 10, 7, 3, 2)],
+        )
+        .unwrap();
+        for mode in [ReconstructionMode::BlockNearest, ReconstructionMode::FifoReplicate] {
+            let mut enc = RhythmicEncoder::new(20, 12);
+            let mut borrowed = SoftwareDecoder::with_mode(20, 12, mode);
+            let mut owned = SoftwareDecoder::with_mode(20, 12, mode);
+            for idx in 0..8u64 {
+                let frame = Plane::from_fn(20, 12, |x, y| (x * 7 + y * 3 + idx as u32 * 5) as u8);
+                let mut encoded = enc.encode(&frame, idx, &regions);
+                if idx % 2 == 1 {
+                    encoded = EncodedFrame::from_raw_parts(
+                        20,
+                        12,
+                        idx,
+                        encoded.pixels().to_vec(),
+                        encoded.metadata().clone(),
+                        encoded.integrity(),
+                    );
+                    assert!(!encoded.is_validated());
+                }
+                if idx == 5 {
+                    let mut pixels = encoded.pixels().to_vec();
+                    pixels[0] ^= 0x10;
+                    let bad = EncodedFrame::from_raw_parts(
+                        20,
+                        12,
+                        idx,
+                        pixels,
+                        encoded.metadata().clone(),
+                        encoded.integrity(),
+                    );
+                    assert!(borrowed.try_decode(&bad).is_err());
+                    assert!(owned.try_decode_owned(bad).is_err());
+                }
+                let a = borrowed.try_decode(&encoded).unwrap();
+                let b = owned.try_decode_owned(encoded).unwrap();
+                assert_eq!(a.as_slice(), b.as_slice(), "{mode:?} frame {idx}");
+                assert_eq!(borrowed.stats(), owned.stats(), "{mode:?} frame {idx}");
+            }
+            assert_eq!(owned.stats().frames, 8);
+            assert!(owned.history().current().unwrap().is_validated());
+        }
     }
 
     #[test]

@@ -365,7 +365,9 @@ impl RhythmicEncoder {
     }
 
     /// Encodes one frame against `regions`, producing the packed
-    /// encoded frame and its metadata in a single streaming pass.
+    /// encoded frame and its metadata in a single streaming pass. The
+    /// frame is consistent by construction and carries the validated
+    /// marker ([`EncodedFrame::validated`]); debug builds re-check it.
     ///
     /// # Panics
     ///
@@ -548,7 +550,7 @@ impl RhythmicEncoder {
         stats.pixels_out += metadata.row_offsets.total() as u64;
         stats.payload_bytes += metadata.row_offsets.total() as u64;
         stats.metadata_bytes += metadata.size_bytes() as u64;
-        EncodedFrame::new_shared(width, height, frame_idx, payload, metadata)
+        EncodedFrame::new_shared(width, height, frame_idx, payload, metadata).sealed_by_encoder()
     }
 }
 
@@ -626,7 +628,8 @@ impl StreamingEncoder {
         self.sequencer.frame_done()
     }
 
-    /// Finalizes the frame.
+    /// Finalizes the frame, marked validated like
+    /// [`RhythmicEncoder::encode`]'s output.
     ///
     /// # Panics
     ///
@@ -638,6 +641,7 @@ impl StreamingEncoder {
             mask: self.mask,
         };
         EncodedFrame::new(self.width, self.height, self.frame_idx, self.pixels, metadata)
+            .sealed_by_encoder()
     }
 }
 

@@ -138,6 +138,44 @@ pub fn for_each_run_scalar(
     f(cur, run);
 }
 
+/// Number of `R` (`0b11`) entries among packed entries
+/// `[start, start + len)`; entries past the end of `packed` read as
+/// `0`.
+///
+/// The byte-aligned middle is counted 32 entries per u64 word:
+/// `w & (w >> 1)` sets bit `2k` exactly where entry `k` is `0b11`, and
+/// the `0x5555…` mask drops the odd bits before the popcount. The
+/// unaligned head and tail go per entry, so rows that start mid-byte
+/// and non-zero padding past the window are never counted. Its per-
+/// entry reference is [`crate::FrameMetadata::is_consistent_scalar`].
+pub fn count_regional(packed: &[u8], start: usize, len: usize) -> u64 {
+    const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
+    let end = start.saturating_add(len);
+    let mut i = start;
+    let mut n = 0u64;
+    while i < end && !i.is_multiple_of(4) {
+        n += u64::from(entry_at(packed, i) == 0b11);
+        i += 1;
+    }
+    let whole = (end - i) / 4;
+    let bytes = packed.get(i / 4..).unwrap_or(&[]);
+    let bytes = bytes.get(..whole).unwrap_or(bytes);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let w = <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes);
+        n += u64::from((w & (w >> 1) & EVEN_BITS).count_ones());
+    }
+    for &b in words.remainder() {
+        n += u64::from((b & (b >> 1) & 0x55).count_ones());
+    }
+    i += 4 * whole;
+    while i < end {
+        n += u64::from(entry_at(packed, i) == 0b11);
+        i += 1;
+    }
+    n
+}
+
 /// Packs a priority row into 2-bit mask entries starting at
 /// `start_entry`, OR-ing into `packed`.
 ///

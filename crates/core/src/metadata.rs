@@ -48,33 +48,31 @@ impl RowOffsets {
 
     /// Number of rows covered.
     pub fn rows(&self) -> u32 {
-        (self.offsets.len() - 1) as u32
+        u32::try_from(self.offsets.len().saturating_sub(1)).unwrap_or(u32::MAX)
     }
 
-    /// Encoded pixels before row `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `y > rows()`.
+    /// Encoded pixels before row `y`. Rows past the table
+    /// (`y > rows()`) hold nothing, so they read as [`RowOffsets::total`].
     #[inline]
     pub fn offset_of_row(&self, y: u32) -> u32 {
-        self.offsets[y as usize]
+        usize::try_from(y)
+            .ok()
+            .and_then(|y| self.offsets.get(y))
+            .copied()
+            .unwrap_or_else(|| self.total())
     }
 
-    /// The encoded-frame index range holding row `y`'s pixels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `y >= rows()`.
+    /// The encoded-frame index range holding row `y`'s pixels; empty
+    /// at the table's end for rows past it (`y >= rows()`).
     #[inline]
     pub fn row_span(&self, y: u32) -> std::ops::Range<u32> {
-        self.offsets[y as usize]..self.offsets[y as usize + 1]
+        self.offset_of_row(y)..self.offset_of_row(y.saturating_add(1))
     }
 
     /// Total number of encoded pixels.
     pub fn total(&self) -> u32 {
-        // rpr-check: allow(panic-reach): every constructor stores rows+1 >= 1 entries, so last() is always Some
-        *self.offsets.last().expect("offsets always non-empty")
+        // Every constructor stores rows + 1 >= 1 entries.
+        self.offsets.last().copied().unwrap_or(0)
     }
 
     /// The raw cumulative offset entries (length = rows + 1, first
@@ -104,7 +102,7 @@ impl RowOffsets {
     /// True when the cumulative entries never decrease — the invariant
     /// that keeps every [`RowOffsets::row_span`] a forward range.
     pub fn is_monotonic(&self) -> bool {
-        self.offsets.windows(2).all(|w| w[0] <= w[1])
+        self.offsets.is_sorted()
     }
 
     /// Byte size of the table in DRAM (4 bytes per row, matching the
@@ -137,7 +135,8 @@ impl FrameMetadata {
     pub fn from_mask(mask: EncMask) -> Self {
         let counts: Vec<u32> = (0..mask.height())
             .map(|y| {
-                mask.row_iter(y).filter(|&s| s == PixelStatus::Regional).count() as u32
+                let regional = mask.row_iter(y).filter(|&s| s == PixelStatus::Regional).count();
+                u32::try_from(regional).unwrap_or(u32::MAX)
             })
             .collect();
         FrameMetadata { row_offsets: RowOffsets::from_row_counts(&counts), mask }
@@ -151,15 +150,39 @@ impl FrameMetadata {
 
     /// Consistency check: the offset table's totals must match the
     /// mask's per-row `R` counts. The encoder maintains this invariant;
-    /// property tests assert it.
+    /// property tests assert it. Counts a u64 mask word at a time
+    /// ([`crate::kernels::count_regional`]).
     pub fn is_consistent(&self) -> bool {
+        let width = u64::from(self.mask.width());
+        let packed = self.mask.as_bytes();
+        self.rows_match(|y| {
+            let start = u64::from(y) * width;
+            match (usize::try_from(start), usize::try_from(width)) {
+                (Ok(start), Ok(len)) => Some(crate::kernels::count_regional(packed, start, len)),
+                _ => None,
+            }
+        })
+    }
+
+    /// Per-pixel reference implementation of
+    /// [`FrameMetadata::is_consistent`], kept for the
+    /// `kernel_equivalence` differential tests.
+    pub fn is_consistent_scalar(&self) -> bool {
+        self.rows_match(|y| {
+            Some(self.mask.row_iter(y).filter(|&s| s == PixelStatus::Regional).count() as u64)
+        })
+    }
+
+    /// True when the table covers the mask's rows and every row's span
+    /// length equals `count(y)` (a `None` count never matches).
+    fn rows_match(&self, count: impl Fn(u32) -> Option<u64>) -> bool {
+        let offsets = self.row_offsets.as_slice();
         if self.row_offsets.rows() != self.mask.height() {
             return false;
         }
-        (0..self.mask.height()).all(|y| {
-            let expected =
-                self.mask.row_iter(y).filter(|&s| s == PixelStatus::Regional).count() as u32;
-            self.row_offsets.row_span(y).len() as u32 == expected
+        (0..self.mask.height()).zip(offsets.windows(2)).all(|(y, span)| match span {
+            [lo, hi] => count(y) == Some(u64::from(hi.saturating_sub(*lo))),
+            _ => false,
         })
     }
 }

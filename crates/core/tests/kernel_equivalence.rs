@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use rpr_core::kernels;
 use rpr_core::{
-    BufferPool, EncoderConfig, ReconstructionMode, RegionLabel, RegionList, RhythmicEncoder,
-    SoftwareDecoder, StreamingEncoder,
+    BufferPool, EncMask, EncoderConfig, FrameMetadata, ReconstructionMode, RegionLabel, RegionList,
+    RhythmicEncoder, RowOffsets, SoftwareDecoder, StreamingEncoder,
 };
 use rpr_frame::{GrayFrame, Plane};
 use rpr_testkit::ReferenceDecoder;
@@ -89,6 +89,57 @@ proptest! {
         prop_assert_eq!(n_fast, n_slow);
         prop_assert_eq!(fast, slow);
     }
+
+    /// The word-popcount `R` counter agrees with summing the scalar
+    /// run scanner's `R` runs, from any 2-bit phase.
+    #[test]
+    fn regional_counter_equals_scalar((packed, start, len) in packed_window()) {
+        let mut slow = 0u64;
+        kernels::for_each_run_scalar(&packed, start, len, |s, n| {
+            if s == 0b11 {
+                slow += n as u64;
+            }
+        });
+        prop_assert_eq!(kernels::count_regional(&packed, start, len), slow);
+    }
+
+    /// The word-at-a-time consistency check agrees with the per-pixel
+    /// reference on consistent tables and on tables with one entry
+    /// moved (which may reverse a span), with rows starting mid-byte
+    /// and all-`R` padding bits after the last entry.
+    #[test]
+    fn consistency_check_equals_scalar((mask, row, delta) in padded_mask()) {
+        let meta = FrameMetadata::from_mask(mask);
+        prop_assert!(meta.is_consistent());
+        prop_assert!(meta.is_consistent_scalar());
+        let mut offsets = meta.row_offsets.as_slice().to_vec();
+        offsets[row as usize + 1] += delta;
+        let moved = FrameMetadata {
+            row_offsets: RowOffsets::from_raw_offsets(offsets),
+            mask: meta.mask.clone(),
+        };
+        prop_assert_eq!(moved.is_consistent(), moved.is_consistent_scalar());
+        prop_assert_eq!(moved.is_consistent(), delta == 0);
+    }
+}
+
+/// Strategy: a `width x height` mask with widths 1..=70 (so rows start
+/// at every 2-bit phase) from random packed bytes, with every padding
+/// bit of the last byte set (padding that would read as `R` if a
+/// counter overran the mask), plus a row index and an offset delta.
+fn padded_mask() -> impl Strategy<Value = (EncMask, u32, u32)> {
+    (1u32..=70, 1u32..=8)
+        .prop_flat_map(|(w, h)| {
+            let n = (w as usize * h as usize).div_ceil(4);
+            (Just(w), Just(h), proptest::collection::vec(0u8..=255, n..=n), 0..h, 0u32..3)
+        })
+        .prop_map(|(w, h, mut bytes, row, delta)| {
+            let rem = (w as usize * h as usize) % 4;
+            if let (Some(last), true) = (bytes.last_mut(), rem != 0) {
+                *last |= 0xFF << (2 * rem);
+            }
+            (EncMask::from_raw_bytes(w, h, bytes).expect("sized to w x h"), row, delta)
+        })
 }
 
 /// Regression: a row shorter than its misaligned head used to recurse

@@ -63,6 +63,8 @@ fn delivered_frames_carry_a_causal_frame_ctx() {
         assert_eq!(d.ctx.frame_seq, i as u64, "per-session sequence");
         assert_eq!(d.ctx.ingest_micros, d.accepted_micros);
         assert_eq!(d.ctx.ingest_micros, 777);
+        // Validated once at ingest: DecodeCapture skips the full check.
+        assert!(d.frame.is_validated());
     }
 }
 

@@ -159,7 +159,10 @@ pub struct DecodeSummary {
 /// A [`CaptureStage`] reconstructing replayed [`EncodedFrame`]s into
 /// the [`GrayFrame`]s the original task stages consume. Frames that
 /// fail validation decode to black (and are counted) instead of
-/// panicking, keeping a replay robust to damaged archives.
+/// panicking, keeping a replay robust to damaged archives. Frames from
+/// the wire readers ([`WireSource`], the serve path's stream decoder)
+/// arrive already validated, so the stage skips the check for them and
+/// decodes each frame by value, without a clone.
 pub struct DecodeCapture {
     decoder: SoftwareDecoder,
     rejected: u64,
@@ -185,7 +188,7 @@ impl CaptureStage for DecodeCapture {
     type Summary = DecodeSummary;
 
     fn process(&mut self, frame: EncodedFrame, _feedback: &Feedback, _degraded: bool) -> GrayFrame {
-        match self.decoder.try_decode(&frame) {
+        match self.decoder.try_decode_owned(frame) {
             Ok(decoded) => decoded,
             Err(_) => {
                 self.rejected += 1;
@@ -377,6 +380,22 @@ mod tests {
         );
         assert_eq!(result.task, expected, "staged replay must be bit-identical");
         assert_eq!(result.capture.stats.frames, 6);
+    }
+
+    #[test]
+    fn decode_capture_moves_wire_validated_frames_into_history() {
+        // A frame read back from a container arrives marked validated,
+        // and DecodeCapture decodes it by value: its mask buffer moves
+        // into the decoder's history instead of being cloned.
+        let bytes = write_container(&encoded_sequence(2)).unwrap();
+        let frame = rpr_wire::ContainerReader::open(&bytes).unwrap().frame(1).unwrap();
+        assert!(frame.is_validated());
+        let mask = frame.metadata().mask.as_bytes().as_ptr();
+        let mut stage = DecodeCapture::new(32, 24);
+        stage.process(frame, &Feedback::empty(), false);
+        let held = stage.decoder.history().current().unwrap();
+        assert_eq!(held.metadata().mask.as_bytes().as_ptr(), mask, "the frame was cloned");
+        assert_eq!(stage.finish().rejected, 0);
     }
 
     #[test]

@@ -35,8 +35,10 @@ use crate::{Result, WireError};
 pub const FILE_MAGIC: [u8; 8] = *b"RPRWIRE1";
 /// Trailer magic (last four bytes of every finished container).
 pub const TRAILER_MAGIC: [u8; 4] = *b"RPRX";
-/// Container format version this crate reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+/// Container format version this crate reads and writes. Version 2
+/// replaced version 1's byte-serial FNV-1a frame digest with the
+/// word-at-a-time one; the byte layout is unchanged.
+pub const FORMAT_VERSION: u16 = 2;
 /// Size of the file header in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Size of a chunk header (kind + payload_len + crc32).
@@ -718,6 +720,23 @@ mod tests {
         let recovered = ContainerReader::scan(&unfinished).unwrap();
         assert_eq!(recovered.len(), 3);
         assert_eq!(recovered.frame(2).unwrap(), frames[2]);
+    }
+
+    #[test]
+    fn version_1_containers_are_refused_with_a_typed_error() {
+        // Version 1 sealed frames with FNV-1a; its files must fail on
+        // the version, not with a digest mismatch on every frame.
+        let mut old = write_container(&sample_frames()).unwrap();
+        old[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&old[0..12]);
+        old[12..16].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            ContainerReader::open(&old),
+            Err(WireError::UnsupportedVersion { version: 1 })
+        ));
+        let mut dec = crate::StreamDecoder::new();
+        dec.push(&old);
+        assert!(matches!(dec.next_event(), Err(WireError::UnsupportedVersion { version: 1 })));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! of the `.rpr` container.
 //!
 //! Dependency-free and table-driven; the tables are built at compile
-//! time. CRC32 (rather than the frame-level FNV digest) guards the
+//! time. CRC32 (rather than the frame-level digest) guards the
 //! *transport* layer: it is the checksum DMA engines and NICs already
 //! compute in hardware, so a real deployment gets it for free, and its
 //! error model (burst errors from torn writes and truncated transfers)

@@ -8,7 +8,9 @@
 //!      0     4  width        u32 LE
 //!      4     4  height       u32 LE
 //!      8     8  frame_idx    u64 LE
-//!     16     8  integrity    u64 LE  (FNV-1a digest, carried verbatim)
+//!     16     8  integrity    u64 LE  (word-at-a-time frame digest,
+//!                                    carried verbatim; see
+//!                                    `EncodedFrame::compute_integrity`)
 //!     24     1  mask_encoding: 0 = raw packed 2-bit, 1 = RLE
 //!     25     —  mask_len     varint, then mask_len mask bytes
 //!      …     —  rows         varint  (must equal height)
@@ -95,7 +97,9 @@ fn tail_is_canonical(packed: &[u8], pixels: usize) -> bool {
 ///
 /// The frame must pass [`EncodedFrame::validate`]: the wire format
 /// only carries self-consistent frames, so every parse failure on the
-/// read side is genuine corruption rather than a sloppy writer.
+/// read side is genuine corruption rather than a sloppy writer. A frame
+/// marked validated (encoder output, or a frame read back through
+/// [`EncodedFrameView::to_validated_frame`]) is not checked again.
 ///
 /// # Errors
 ///
@@ -345,7 +349,7 @@ impl<'a> EncodedFrameView<'a> {
         self.frame_idx
     }
 
-    /// The FNV-1a digest carried from the original [`EncodedFrame`].
+    /// The frame digest carried from the original [`EncodedFrame`].
     pub fn integrity(&self) -> u64 {
         self.integrity
     }
@@ -431,33 +435,34 @@ impl<'a> EncodedFrameView<'a> {
         )
     }
 
-    /// [`EncodedFrameView::to_frame`] plus a full
-    /// [`EncodedFrame::validate`] pass.
+    /// [`EncodedFrameView::to_frame`] plus one full
+    /// [`EncodedFrame::validate`] pass. The frame comes back marked
+    /// validated ([`EncodedFrame::validated`]), so later boundaries —
+    /// the decoder's `try_decode*`, a re-encode through
+    /// [`encode_frame`] — do not check it again.
     ///
     /// # Errors
     ///
     /// [`WireError::CorruptFrame`] wrapping the validation failure.
     pub fn to_validated_frame(&self) -> Result<EncodedFrame> {
-        let frame = self.to_frame();
-        frame
-            .validate()
-            .map_err(|e| WireError::CorruptFrame { reason: e.to_string() })?;
-        Ok(frame)
+        validated(self.to_frame())
     }
 
-    /// [`EncodedFrameView::to_frame_in`] plus a full
-    /// [`EncodedFrame::validate`] pass.
+    /// [`EncodedFrameView::to_frame_in`] plus one full
+    /// [`EncodedFrame::validate`] pass; marked validated like
+    /// [`EncodedFrameView::to_validated_frame`].
     ///
     /// # Errors
     ///
     /// [`WireError::CorruptFrame`] wrapping the validation failure.
     pub fn to_validated_frame_in(&self, pool: &rpr_core::BufferPool) -> Result<EncodedFrame> {
-        let frame = self.to_frame_in(pool);
-        frame
-            .validate()
-            .map_err(|e| WireError::CorruptFrame { reason: e.to_string() })?;
-        Ok(frame)
+        validated(self.to_frame_in(pool))
     }
+}
+
+/// Validates a promoted frame, mapping the failure to a wire error.
+fn validated(frame: EncodedFrame) -> Result<EncodedFrame> {
+    frame.validated().map_err(|e| WireError::CorruptFrame { reason: e.to_string() })
 }
 
 #[cfg(test)]
@@ -498,6 +503,8 @@ mod tests {
         assert_eq!(view.frame_idx(), 42);
         let back = view.to_validated_frame().unwrap();
         assert_eq!(back, frame);
+        assert!(back.is_validated(), "promotion carries the proof");
+        assert!(!view.to_frame().is_validated(), "plain promotion does not");
     }
 
     #[test]
@@ -552,6 +559,8 @@ mod tests {
             let (buf, _) = encode(&frame, codec);
             let view = EncodedFrameView::parse(&buf).unwrap();
             let pooled = view.to_validated_frame_in(&pool).unwrap();
+            assert!(pooled.is_validated());
+            assert!(!view.to_frame_in(&pool).is_validated());
             assert_eq!(pooled, view.to_validated_frame().unwrap());
             assert_eq!(pooled, frame);
             pooled.recycle(&pool);

@@ -34,9 +34,18 @@
 //! 1. **CRC32 per chunk** — transport damage (bit rot, torn writes).
 //! 2. **Structural parse** — truncation, bad varints, bad RLE,
 //!    inconsistent lengths.
-//! 3. **Frame digest** ([`rpr_core::EncodedFrame::validate`]) —
-//!    content corruption that forged or repaired CRCs cannot hide,
-//!    plus stale index entries via the `frame_idx` cross-check.
+//! 3. **Frame digest** ([`rpr_core::EncodedFrame::validate`]) — a
+//!    word-at-a-time digest over geometry, index, payload, mask and
+//!    offsets ([`rpr_core::EncodedFrame::compute_integrity`]). It
+//!    catches content corruption that forged or repaired CRCs cannot
+//!    hide, plus stale index entries via the `frame_idx` cross-check.
+//!
+//! Layer 3 runs once per frame, at promotion:
+//! [`EncodedFrameView::to_validated_frame`] returns the frame marked
+//! validated, and later boundaries (the decoder's `try_decode*`,
+//! [`encode_frame`]) skip the check for a marked frame. The digest
+//! changed in container version 2 ([`FORMAT_VERSION`]), so a version 1
+//! file is refused with [`WireError::UnsupportedVersion`].
 //!
 //! The `rpr-testkit` conformance harness injects faults at each layer
 //! and asserts the matching typed error.

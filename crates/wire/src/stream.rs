@@ -593,6 +593,7 @@ mod tests {
             })
             .collect();
         assert_eq!(decoded, frames);
+        assert!(decoded.iter().all(EncodedFrame::is_validated), "frames leave validated");
         // Dismantle the drained frames back into the pool; a second
         // session over the same bytes then allocates nothing new.
         for f in decoded {

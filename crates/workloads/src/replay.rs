@@ -196,10 +196,10 @@ pub fn replay_task_inputs_with_mode(
     };
     let mut decoder = SoftwareDecoder::with_mode(first.width(), first.height(), mode);
     frames
-        .iter()
+        .into_iter()
         .map(|f| {
             decoder
-                .try_decode(f)
+                .try_decode_owned(f)
                 .map_err(|e| WireError::CorruptFrame { reason: e.to_string() })
         })
         .collect()

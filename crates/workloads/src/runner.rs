@@ -369,7 +369,7 @@ impl Pipeline {
                 self.traffic.record_encoded_write(&encoded, self.cfg.format);
                 self.pool.admit_encoded(&encoded, self.cfg.format);
                 self.fractions.push(encoded.captured_fraction());
-                let decoded = self.decoder.decode(&encoded);
+                let decoded = self.decoder.decode_owned(encoded);
                 if self.uses_motion_history() {
                     self.decoded_history.push(decoded.clone());
                     if self.decoded_history.len() > 2 {
