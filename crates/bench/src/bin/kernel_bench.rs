@@ -242,6 +242,42 @@ fn main() {
         }),
     });
 
+    // A pose-like frame: one large stride-2 region, sampled. The span
+    // encoder and the word-wide decoder against the per-pixel
+    // references they are pinned to in the kernel-equivalence battery.
+    {
+        let strided = RegionList::new_lossy(
+            w,
+            h,
+            vec![RegionLabel::new(w / 4, h / 8, w / 2, h * 3 / 4, 2, 2)],
+        );
+        let pool = BufferPool::new();
+        let mut enc = RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
+        let chunked_mb_s = mb_per_s(pixels, || {
+            enc.encode(&frames[0], 0, &strided).recycle(&pool);
+        });
+        let scalar_mb_s = mb_per_s(pixels, || {
+            let mut stream = StreamingEncoder::begin(w, h, 0, strided.clone());
+            for &v in frames[0].as_slice() {
+                let _: PixelStatus = stream.push(v);
+            }
+            std::hint::black_box(stream.finish().pixel_count());
+        });
+        runs.push(Pair { kernel: "strided_encode", scalar_mb_s, chunked_mb_s });
+
+        let encoded = enc.encode(&frames[0], 0, &strided);
+        let mut dec = SoftwareDecoder::with_pool(w, h, ReconstructionMode::BlockNearest, pool);
+        let chunked_mb_s = mb_per_s(pixels, || {
+            let out = dec.decode(&encoded);
+            dec.recycle_output(out);
+        });
+        let mut refdec = ReferenceDecoder::new(w, h, ReconstructionMode::BlockNearest);
+        let scalar_mb_s = mb_per_s(pixels, || {
+            std::hint::black_box(refdec.decode(&encoded).as_slice().len());
+        });
+        runs.push(Pair { kernel: "strided_decode", scalar_mb_s, chunked_mb_s });
+    }
+
     // Combined single-core encode→decode pipeline: the pooled chunked
     // path against the per-pixel streaming encoder + reference decoder
     // it is pinned to in the kernel-equivalence battery. This is the

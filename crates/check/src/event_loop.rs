@@ -16,7 +16,11 @@
 use crate::callgraph::Graph;
 use crate::lints::{Finding, LINTS};
 use crate::policy::Policy;
-use crate::reach::run_site_lint;
+use crate::reach::{resolve_entries, run_site_lint};
+
+/// The policy key naming the entry points; an entry that resolves to
+/// no fn is itself a finding.
+const ENTRIES: &str = "lints.event_loop_blocking.entries";
 
 /// Default denied site kinds.
 pub const DEFAULT_DENY: &[&str] = &["blocking"];
@@ -25,19 +29,17 @@ pub const DEFAULT_DENY: &[&str] = &["blocking"];
 pub fn run(graph: &Graph<'_>, policy: &Policy) -> Vec<Finding> {
     let lint = &LINTS[8];
     debug_assert_eq!(lint.id, "RPR009");
-    let specs = policy.str_array("lints.event_loop_blocking.entries");
+    let specs = policy.str_array(ENTRIES);
     if specs.is_empty() {
         return Vec::new();
     }
-    let mut entries = Vec::new();
-    for spec in &specs {
-        entries.extend(graph.resolve_entry(spec));
-    }
+    let (entries, mut findings) = resolve_entries(graph, lint, ENTRIES, &specs);
     let mut deny = policy.str_array("lints.event_loop_blocking.deny");
     if deny.is_empty() {
         deny = DEFAULT_DENY.iter().map(|s| s.to_string()).collect();
     }
-    run_site_lint(graph, lint, &entries, &deny, &[])
+    findings.extend(run_site_lint(graph, lint, &entries, &deny, &[]));
+    findings
 }
 
 #[cfg(test)]

@@ -24,7 +24,11 @@
 use crate::callgraph::Graph;
 use crate::lints::{Finding, LINTS};
 use crate::policy::Policy;
-use crate::reach::run_site_lint;
+use crate::reach::{resolve_entries, run_site_lint};
+
+/// The policy key naming the entry points; an entry that resolves to
+/// no fn is itself a finding.
+const ENTRIES: &str = "lints.hot_path_alloc.entries";
 
 /// Default denied site kinds.
 pub const DEFAULT_DENY: &[&str] = &["alloc-hard", "alloc-amortized"];
@@ -33,19 +37,17 @@ pub const DEFAULT_DENY: &[&str] = &["alloc-hard", "alloc-amortized"];
 pub fn run(graph: &Graph<'_>, policy: &Policy) -> Vec<Finding> {
     let lint = &LINTS[7];
     debug_assert_eq!(lint.id, "RPR008");
-    let specs = policy.str_array("lints.hot_path_alloc.entries");
+    let specs = policy.str_array(ENTRIES);
     if specs.is_empty() {
         return Vec::new();
     }
-    let mut entries = Vec::new();
-    for spec in &specs {
-        entries.extend(graph.resolve_entry(spec));
-    }
+    let (entries, mut findings) = resolve_entries(graph, lint, ENTRIES, &specs);
     let mut deny = policy.str_array("lints.hot_path_alloc.deny");
     if deny.is_empty() {
         deny = DEFAULT_DENY.iter().map(|s| s.to_string()).collect();
     }
-    run_site_lint(graph, lint, &entries, &deny, &[])
+    findings.extend(run_site_lint(graph, lint, &entries, &deny, &[]));
+    findings
 }
 
 #[cfg(test)]

@@ -69,6 +69,40 @@ pub fn path_string(graph: &Graph<'_>, preds: &Preds, id: usize) -> String {
     chain.join(" → ")
 }
 
+/// Resolves a site lint's policy entry specs
+/// (`path/file.rs::Type::fn` or `path/file.rs::fn`) to fn ids.
+///
+/// A spec that names no fn is returned as a blocking finding, anchored
+/// at the file the spec names: a misspelled entry, or one whose fn was
+/// renamed or moved, would otherwise drop its whole call tree from the
+/// lint while the gate kept passing.
+pub fn resolve_entries(
+    graph: &Graph<'_>,
+    lint: &'static LintInfo,
+    policy_key: &str,
+    specs: &[String],
+) -> (Vec<usize>, Vec<Finding>) {
+    let mut entries = Vec::new();
+    let mut unresolved = Vec::new();
+    for spec in specs {
+        let ids = graph.resolve_entry(spec);
+        if ids.is_empty() {
+            let file = spec.find(".rs::").map_or(spec.as_str(), |pos| &spec[..pos + 3]);
+            unresolved.push(finding(
+                lint,
+                file,
+                1,
+                format!(
+                    "`{policy_key}` entry `{spec}` resolves to no fn — fix its spelling, \
+                     or follow the fn's rename or move"
+                ),
+            ));
+        }
+        entries.extend(ids);
+    }
+    (entries, unresolved)
+}
+
 /// Runs one reachability site lint.
 ///
 /// * `entries` — fn ids the policy names as the protected surface.
@@ -194,6 +228,25 @@ mod tests {
             run_site_lint(&g, lint(), &entries, &["unwrap".to_string()], &["panic-surface"]);
         assert_eq!(f.len(), 1);
         assert!(f[0].waived);
+    }
+
+    #[test]
+    fn unresolved_entries_are_findings() {
+        let w = ws(&[("crates/core/src/kernels.rs", "pub fn pack_row() {}")]);
+        let g = Graph::build(&w);
+        let specs = vec![
+            "crates/core/src/kernels.rs::pack_row".to_string(),
+            "crates/core/src/kernels.rs::pakc_row".to_string(),
+            "crates/core/src/gone.rs::pack_row".to_string(),
+            "nonsense".to_string(),
+        ];
+        let (entries, unresolved) = resolve_entries(&g, &LINTS[7], "lints.x.entries", &specs);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(unresolved.len(), 3, "{unresolved:?}");
+        assert!(unresolved.iter().all(|f| !f.waived && f.id == "RPR008"));
+        assert!(unresolved[0].message.contains("pakc_row"));
+        assert_eq!(unresolved[1].file, "crates/core/src/gone.rs");
+        assert_eq!(unresolved[2].file, "nonsense");
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! covered too). Graph lints (RPR006–RPR009) are cross-file by
 //! definition, so their fixtures are *directories*
 //! (`fixtures/graph/<lint>/{bad,good}/*.rs`) parsed as miniature
-//! workspaces and run through the full phase-1/phase-2 engine.
+//! workspaces and run through the full phase-1/phase-2 engine. A
+//! `misspelled/` fixture directory, whose `policy.toml` names an entry
+//! that resolves to no fn, runs wherever one exists and must fire; every
+//! lint whose fixture policy gives it `lints.<lint>.entries` must have
+//! one, so an entry-list lint cannot leave its own typos unchecked.
 //! `rpr-check --self-test` runs both corpora in CI next to the
 //! workspace scan; the fixtures directory is in `[global].exclude` so
 //! the deliberately-deadlocking fixture code never trips the real gate.
@@ -45,6 +49,42 @@ fn fixture_policy() -> Policy {
     .expect("fixture policy is statically valid")
 }
 
+/// The default policy of the graph fixture directory `rel_dir`: each
+/// lint's scope points at the directory's `entry.rs` (or the whole
+/// directory for lock-order, whose entries are implicit in the lock
+/// sites).
+fn default_graph_fixture_policy(rel_dir: &str) -> String {
+    format!(
+        r#"
+        [lints.panic_reach]
+        include = ["{rel_dir}/entry.rs"]
+        [lints.lock_order]
+        include = ["{rel_dir}/"]
+        [lints.hot_path_alloc]
+        entries = ["{rel_dir}/entry.rs::kernel"]
+        [lints.event_loop_blocking]
+        entries = ["{rel_dir}/entry.rs::Server::step"]
+        "#
+    )
+}
+
+/// The policy a graph fixture directory runs under: its own
+/// `policy.toml` when it holds one (the misspelled-entry fixtures do,
+/// since their point is a policy entry that names no fn), else the
+/// default.
+fn graph_fixture_policy(dir: &Path, rel_dir: &str) -> std::io::Result<Policy> {
+    let text = match std::fs::read_to_string(dir.join("policy.toml")) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            default_graph_fixture_policy(rel_dir)
+        }
+        Err(e) => return Err(e),
+    };
+    Policy::parse(&text).map_err(|e| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{rel_dir}/policy.toml: {e}"))
+    })
+}
+
 /// Runs the self-test against `fixtures_dir`. Returns the list of
 /// failures (empty = all lints verified live).
 ///
@@ -53,34 +93,6 @@ fn fixture_policy() -> Policy {
 /// Returns an I/O error when a fixture file is missing or unreadable —
 /// a missing fixture is itself a self-test failure mode that must not
 /// pass silently.
-/// The policy the graph fixtures run under: each lint's scope points
-/// at its fixture directory's `entry.rs` (or the whole directory for
-/// lock-order, whose entries are implicit in the lock sites).
-fn graph_fixture_policy() -> Policy {
-    Policy::parse(
-        r#"
-        [lints.panic_reach]
-        include = [
-            "fixtures/graph/panic_reach/bad/entry.rs",
-            "fixtures/graph/panic_reach/good/entry.rs",
-        ]
-        [lints.lock_order]
-        include = ["fixtures/graph/lock_order/"]
-        [lints.hot_path_alloc]
-        entries = [
-            "fixtures/graph/hot_path_alloc/bad/entry.rs::kernel",
-            "fixtures/graph/hot_path_alloc/good/entry.rs::kernel",
-        ]
-        [lints.event_loop_blocking]
-        entries = [
-            "fixtures/graph/event_loop_blocking/bad/entry.rs::Server::step",
-            "fixtures/graph/event_loop_blocking/good/entry.rs::Server::step",
-        ]
-        "#,
-    )
-    .expect("graph fixture policy is statically valid")
-}
-
 pub fn run(fixtures_dir: &Path) -> std::io::Result<Vec<String>> {
     let policy = fixture_policy();
     let mut failures = Vec::new();
@@ -117,10 +129,19 @@ pub fn run(fixtures_dir: &Path) -> std::io::Result<Vec<String>> {
     }
 
     // Graph lints: directory fixtures parsed as miniature workspaces.
-    let graph_policy = graph_fixture_policy();
     for lint in LINTS.iter().filter(|l| GRAPH_LINT_IDS.contains(&l.id)) {
         let snake = lint.name.replace('-', "_");
-        for (suffix, expect_fire) in [("bad", true), ("good", false)] {
+        let mut cases = vec![("bad", true), ("good", false)];
+        if fixtures_dir.join("graph").join(&snake).join("misspelled").is_dir() {
+            cases.push(("misspelled", true));
+        } else if reads_entries(&snake) {
+            failures.push(format!(
+                "{} ({}) reads `lints.{snake}.entries` but has no \
+                 fixtures/graph/{snake}/misspelled/ fixture",
+                lint.id, lint.name
+            ));
+        }
+        for (suffix, expect_fire) in cases {
             let dir = fixtures_dir.join("graph").join(&snake).join(suffix);
             let rel_dir = format!("fixtures/graph/{snake}/{suffix}");
             let mut files = Vec::new();
@@ -146,7 +167,8 @@ pub fn run(fixtures_dir: &Path) -> std::io::Result<Vec<String>> {
             }
             let ws = Workspace::parse(&files);
             let graph = Graph::build(&ws);
-            let findings = run_graph_lints(&graph, &graph_policy, &[lint.id]);
+            let policy = graph_fixture_policy(&dir, &rel_dir)?;
+            let findings = run_graph_lints(&graph, &policy, &[lint.id]);
             let unwaived_hits =
                 findings.iter().filter(|f| !f.waived && f.id == lint.id).count();
             let unwaived_any = findings.iter().filter(|f| !f.waived).count();
@@ -169,6 +191,14 @@ pub fn run(fixtures_dir: &Path) -> std::io::Result<Vec<String>> {
         }
     }
     Ok(failures)
+}
+
+/// Whether the graph lint `snake` takes its entry points from
+/// `lints.<snake>.entries`: its bad fixture only fires when the default
+/// fixture policy gives it that list.
+fn reads_entries(snake: &str) -> bool {
+    Policy::parse(&default_graph_fixture_policy("fixtures"))
+        .is_ok_and(|p| !p.str_array(&format!("lints.{snake}.entries")).is_empty())
 }
 
 #[cfg(test)]

@@ -646,13 +646,17 @@ fn parse_fn(
     }
     let (has_self, params, mut i) = parse_params(toks, i);
     // Find the body `{`, skipping `-> Type` and `where` clauses; a `;`
-    // first means declaration-only (trait method without default).
+    // first means declaration-only (trait method without default). The
+    // `;` of an array type (`-> [u64; 4]`) sits inside brackets.
     let mut angle = 0i32;
+    let mut bracket = 0i32;
     while i < toks.len() {
         match toks[i].kind {
             TokKind::Punct('<') => angle += 1,
             TokKind::Punct('>') => angle = (angle - 1).max(0), // `->` also hits this
-            TokKind::Punct(';') if angle == 0 => return (None, i + 1),
+            TokKind::Punct('[') => bracket += 1,
+            TokKind::Punct(']') => bracket = (bracket - 1).max(0),
+            TokKind::Punct(';') if angle == 0 && bracket == 0 => return (None, i + 1),
             TokKind::Punct('{') if angle == 0 => break,
             _ => {}
         }
@@ -1262,6 +1266,19 @@ mod tests {
         assert_eq!(m.structs.len(), 1);
         assert_eq!(m.structs[0].fields[0].0, "q");
         assert_eq!(m.structs[0].fields[0].1, vec!["Arc", "StageQueue", "Delivered"]);
+    }
+
+    #[test]
+    fn array_return_types_do_not_read_as_declarations() {
+        let src = r#"
+            pub fn counts(row: &[u8]) -> [u64; 4] { let v = Vec::new(); tally(row) }
+            fn pair() -> ([u8; 2], u8) { ([0; 2], 1) }
+            trait T { fn decl(&self) -> [u8; 3]; fn after(&self) {} }
+        "#;
+        let m = model(src);
+        let names: Vec<_> = m.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["counts", "pair", "after"]);
+        assert!(find_fn(&m, "counts").sites.iter().any(|s| s.what.contains("Vec::new")));
     }
 
     #[test]

@@ -38,12 +38,6 @@ fn ul(v: usize) -> u64 {
     v as u64 // rpr-check: allow(truncating-cast): usize -> u64 is lossless on the 32/64-bit targets this crate supports
 }
 
-/// In-row `usize` position back to the `u32` coordinate space.
-#[inline]
-fn ux(v: usize) -> u32 {
-    u32::try_from(v).unwrap_or(u32::MAX)
-}
-
 /// Number of recent encoded frames whose metadata the decoder's
 /// scratchpad holds (paper §4.2.1: "the four most recent encoded
 /// frames").
@@ -176,6 +170,8 @@ pub struct SoftwareDecoder {
     /// nothing.
     prev_dist: Vec<u32>,
     cur_dist: Vec<u32>,
+    /// All-zero stand-in for the row above row 0.
+    zero_row: Vec<u8>,
 }
 
 impl SoftwareDecoder {
@@ -206,6 +202,7 @@ impl SoftwareDecoder {
             pool,
             prev_dist: Vec::new(),
             cur_dist: Vec::new(),
+            zero_row: Vec::new(),
         }
     }
 
@@ -341,13 +338,22 @@ impl SoftwareDecoder {
     fn decode_block_nearest(&mut self, encoded: &EncodedFrame) -> GrayFrame {
         // Disjoint field borrows: the output buffer, distance scratch,
         // stats, and the previous decoded plane are all live at once.
-        let SoftwareDecoder { width, height, last_decoded, stats, pool, prev_dist, cur_dist, .. } =
-            self;
+        let SoftwareDecoder {
+            width,
+            height,
+            last_decoded,
+            stats,
+            pool,
+            prev_dist,
+            cur_dist,
+            zero_row,
+            ..
+        } = self;
         let (width, height) = (*width, *height);
         let w = us(width);
         let meta = encoded.metadata();
         let mask_bytes = meta.mask.as_bytes();
-        // Every pixel below is written by exactly one run, so the
+        // Every pixel below is written by exactly one stretch, so the
         // recycled buffer's stale contents are never observable — the
         // poisoned-pool conformance sweep is what proves that.
         let mut out_vec = pool.get_scratch(w * us(height));
@@ -358,6 +364,8 @@ impl SoftwareDecoder {
         prev_dist.resize(w, u32::MAX);
         cur_dist.clear();
         cur_dist.resize(w, u32::MAX);
+        zero_row.resize(w, 0);
+        let mut status = [0u8; 32];
 
         for y in 0..height {
             let span = meta.row_offsets.row_span(y);
@@ -369,105 +377,88 @@ impl SoftwareDecoder {
             let base = us(y) * w;
             // Split-borrow the plane: everything before this row is
             // final, so the previous row reads straight from the output
-            // buffer (the old code copied it to a fresh Vec per row).
+            // buffer.
             let (done, rest) = out_vec.split_at_mut(base.min(w * us(height)));
             let Some(cur_row) = rest.get_mut(..w) else { continue };
+            // Row 0 has no row above; its distances are all u32::MAX,
+            // so the zeros standing in for its values are never read.
             let prev_row: &[u8] =
-                if y == 0 { &[] } else { done.get(base - w..).unwrap_or(&[]) };
+                if y == 0 { zero_row } else { done.get(base - w..).unwrap_or(&[]) };
             let prev_hist_row = prev_plane.and_then(|p| p.get(base..base + w));
-            let mut next_r = 0usize;
-            let mut last_r: Option<(u32, u8)> = None;
+            let mut tally = [0u64; 4];
+            let mut near = Nearest::start_row(row_pixels);
             let mut x = 0usize;
-
-            kernels::for_each_run(mask_bytes, base, w, |status, run| {
-                match PixelStatus::from_bits(status) {
-                    PixelStatus::Regional => {
-                        // Whole-run payload copy; overruns past the
-                        // payload decode as black, as per-pixel
-                        // `.get(..).unwrap_or(0)` did.
-                        let avail = row_pixels.len().saturating_sub(next_r).min(run);
-                        if let (Some(dst), Some(src)) = (
-                            cur_row.get_mut(x..x + avail),
-                            row_pixels.get(next_r..next_r + avail),
-                        ) {
-                            dst.copy_from_slice(src);
-                        }
-                        if let Some(pad) = cur_row.get_mut(x + avail..x + run) {
-                            pad.fill(0);
-                        }
-                        if let Some(d) = cur_dist.get_mut(x..x + run) {
-                            d.fill(0);
-                        }
-                        next_r += run;
-                        stats.regional += ul(run);
-                        let lx = x + run - 1;
-                        last_r = Some((ux(lx), cur_row.get(lx).copied().unwrap_or(0)));
-                    }
-                    PixelStatus::Strided => {
-                        stats.interpolated += ul(run);
-                        for i in x..x + run {
-                            let left = last_r.map(|(xr, v)| (ux(i) - xr, v));
-                            let above = if y == 0 {
-                                None
-                            } else {
-                                match (prev_dist.get(i).copied(), prev_row.get(i).copied()) {
-                                    (Some(d), Some(v)) if d != u32::MAX => Some((d + 1, v)),
-                                    _ => None,
-                                }
-                            };
-                            let (value, dist) = match (left, above) {
-                                (Some((dl, vl)), Some((da, va))) => {
-                                    if dl <= da {
-                                        (vl, dl)
-                                    } else {
-                                        (va, da)
-                                    }
-                                }
-                                (Some((dl, vl)), None) => (vl, dl),
-                                (None, Some((da, va))) => (va, da),
-                                (None, None) => (0, u32::MAX),
-                            };
-                            if let Some(slot) = cur_row.get_mut(i) {
-                                *slot = value;
-                            }
-                            if let Some(slot) = cur_dist.get_mut(i) {
-                                *slot = dist;
-                            }
-                        }
-                    }
-                    PixelStatus::Skipped => {
-                        if let Some(prow) = prev_hist_row {
-                            stats.from_history += ul(run);
-                            if let (Some(dst), Some(src)) =
-                                (cur_row.get_mut(x..x + run), prow.get(x..x + run))
-                            {
-                                dst.copy_from_slice(src);
-                            }
-                            if let Some(d) = cur_dist.get_mut(x..x + run) {
-                                d.fill(0);
+            while x < w {
+                let (stretch, end) = next_stretch(mask_bytes, base, x, w, &mut tally);
+                let (Some(dst), Some(dist), Some(pd)) =
+                    (cur_row.get_mut(x..end), cur_dist.get_mut(x..end), prev_dist.get(x..end))
+                else {
+                    break;
+                };
+                let above = prev_row.get(x..end).unwrap_or(&[]);
+                let hist = prev_hist_row.and_then(|p| p.get(x..end));
+                match stretch {
+                    Stretch::Uniform(R) => near.regional_run(dst, dist),
+                    Stretch::Uniform(ST) => {
+                        let px = dst.iter_mut().zip(dist.iter_mut()).zip(pd).zip(above);
+                        if near.left_dist == u32::MAX {
+                            // No `R` yet in this row: every pixel takes the
+                            // pixel above, or black where that has no data.
+                            for (((o, d), &p), &a) in px {
+                                *d = p.saturating_add(1);
+                                *o = if p == u32::MAX { 0 } else { a };
                             }
                         } else {
-                            stats.black += ul(run);
-                            if let Some(dst) = cur_row.get_mut(x..x + run) {
-                                dst.fill(0);
-                            }
-                            if let Some(d) = cur_dist.get_mut(x..x + run) {
-                                d.fill(u32::MAX);
+                            for (((o, d), &p), &a) in px {
+                                (*o, *d) = near.strided(p, a);
                             }
                         }
                     }
-                    PixelStatus::NonRegional => {
-                        stats.black += ul(run);
-                        if let Some(dst) = cur_row.get_mut(x..x + run) {
-                            dst.fill(0);
+                    Stretch::Uniform(s) => {
+                        // Black, or history for skipped pixels when the
+                        // decoder has a previous frame.
+                        match (s, hist) {
+                            (SK, Some(src)) => {
+                                dst.copy_from_slice(src);
+                                dist.fill(0);
+                            }
+                            _ => {
+                                dst.fill(0);
+                                dist.fill(u32::MAX);
+                            }
                         }
-                        if let Some(d) = cur_dist.get_mut(x..x + run) {
-                            d.fill(u32::MAX);
+                        near.pass(dst.len());
+                    }
+                    Stretch::Mixed => {
+                        // One status byte per pixel (the whole 32-entry
+                        // word unpacked in one word-wide step); an `R`
+                        // pixel costs one payload byte.
+                        kernels::unpack_mask_row(mask_bytes, base + x, &mut status);
+                        let st = status.get(..end - x).unwrap_or(&[]);
+                        let px =
+                            st.iter().zip(dst.iter_mut()).zip(dist.iter_mut()).zip(pd).zip(above);
+                        for (k, ((((&s, o), d), &p), &a)) in px.enumerate() {
+                            (*o, *d) = match s {
+                                R => near.regional(),
+                                ST => near.strided(p, a),
+                                SK => {
+                                    near.pass(1);
+                                    match hist.and_then(|h| h.get(k)) {
+                                        Some(&v) => (v, 0),
+                                        None => (0, u32::MAX),
+                                    }
+                                }
+                                _ => {
+                                    near.pass(1);
+                                    (0, u32::MAX)
+                                }
+                            };
                         }
                     }
                 }
-                x += run;
-            });
+                x = end;
+            }
+            stats.add_row(tally, prev_hist_row.is_some());
             std::mem::swap(prev_dist, cur_dist);
         }
         Plane::from_vec(width, height, out_vec)
@@ -484,6 +475,7 @@ impl SoftwareDecoder {
         let mask_bytes = meta.mask.as_bytes();
         let mut out_vec = pool.get_scratch(w * us(height));
         let prev_plane: Option<&[u8]> = last_decoded.as_ref().map(|p| p.as_slice());
+        let mut status = [0u8; 32];
         let mut last_emitted: u8 = 0;
         for y in 0..height {
             let span = meta.row_offsets.row_span(y);
@@ -493,60 +485,50 @@ impl SoftwareDecoder {
             let Some(cur_row) = out_vec.get_mut(base..base + w) else { continue };
             let prev_hist_row = prev_plane.and_then(|p| p.get(base..base + w));
             let mut next_r = 0usize;
+            let mut tally = [0u64; 4];
             let mut x = 0usize;
-            kernels::for_each_run(mask_bytes, base, w, |status, run| {
-                match PixelStatus::from_bits(status) {
-                    PixelStatus::Regional => {
-                        let avail = row_pixels.len().saturating_sub(next_r).min(run);
-                        if let (Some(dst), Some(src)) = (
-                            cur_row.get_mut(x..x + avail),
-                            row_pixels.get(next_r..next_r + avail),
-                        ) {
-                            dst.copy_from_slice(src);
-                        }
-                        if let Some(pad) = cur_row.get_mut(x + avail..x + run) {
-                            pad.fill(0);
-                        }
-                        next_r += run;
-                        stats.regional += ul(run);
-                        last_emitted = cur_row.get(x + run - 1).copied().unwrap_or(0);
+            while x < w {
+                let (stretch, end) = next_stretch(mask_bytes, base, x, w, &mut tally);
+                let Some(dst) = cur_row.get_mut(x..end) else { break };
+                let hist = prev_hist_row.and_then(|p| p.get(x..end));
+                match stretch {
+                    Stretch::Uniform(R) => {
+                        next_r = copy_regional(row_pixels, next_r, dst);
+                        last_emitted = dst.last().copied().unwrap_or(0);
                     }
-                    PixelStatus::Strided => {
-                        // Replicates the FIFO's last output; the run
-                        // leaves `last_emitted` unchanged because every
-                        // pixel re-emits it.
-                        stats.interpolated += ul(run);
-                        if let Some(dst) = cur_row.get_mut(x..x + run) {
-                            dst.fill(last_emitted);
+                    // Every strided pixel re-emits the FIFO's last
+                    // output, which therefore stays unchanged.
+                    Stretch::Uniform(ST) => dst.fill(last_emitted),
+                    Stretch::Uniform(s) => {
+                        match (s, hist) {
+                            (SK, Some(src)) => dst.copy_from_slice(src),
+                            _ => dst.fill(0),
                         }
+                        last_emitted = dst.last().copied().unwrap_or(0);
                     }
-                    PixelStatus::Skipped => {
-                        if let Some(prow) = prev_hist_row {
-                            stats.from_history += ul(run);
-                            if let (Some(dst), Some(src)) =
-                                (cur_row.get_mut(x..x + run), prow.get(x..x + run))
-                            {
-                                dst.copy_from_slice(src);
+                    Stretch::Mixed => {
+                        kernels::unpack_mask_row(mask_bytes, base + x, &mut status);
+                        let st = status.get(..end - x).unwrap_or(&[]);
+                        for (k, (&s, o)) in st.iter().zip(dst.iter_mut()).enumerate() {
+                            match s {
+                                R => {
+                                    last_emitted = row_pixels.get(next_r).copied().unwrap_or(0);
+                                    next_r += 1;
+                                }
+                                ST => {}
+                                SK => {
+                                    last_emitted =
+                                        hist.and_then(|h| h.get(k)).copied().unwrap_or(0);
+                                }
+                                _ => last_emitted = 0,
                             }
-                            last_emitted = cur_row.get(x + run - 1).copied().unwrap_or(0);
-                        } else {
-                            stats.black += ul(run);
-                            if let Some(dst) = cur_row.get_mut(x..x + run) {
-                                dst.fill(0);
-                            }
-                            last_emitted = 0;
+                            *o = last_emitted;
                         }
-                    }
-                    PixelStatus::NonRegional => {
-                        stats.black += ul(run);
-                        if let Some(dst) = cur_row.get_mut(x..x + run) {
-                            dst.fill(0);
-                        }
-                        last_emitted = 0;
                     }
                 }
-                x += run;
-            });
+                x = end;
+            }
+            stats.add_row(tally, prev_hist_row.is_some());
         }
         Plane::from_vec(width, height, out_vec)
             .unwrap_or_else(|_| Plane::new(width, height))
@@ -613,6 +595,166 @@ impl SoftwareDecoder {
                 .map(|f| resolve_strided(f, sub.x, sub.y))
                 .unwrap_or(0),
             SubRequestKind::Black => 0,
+        }
+    }
+}
+
+/// 2-bit wire statuses, as [`kernels::unpack_mask_row`] writes them
+/// (`N` is `0b00`).
+const ST: u8 = 0b01;
+const SK: u8 = 0b10;
+const R: u8 = 0b11;
+
+impl DecoderStats {
+    /// Adds one decoded row's per-status pixel tally (indexed by wire
+    /// bits); skipped pixels come from the history when the row had
+    /// one, and are black otherwise.
+    fn add_row(&mut self, tally: [u64; 4], had_history: bool) {
+        let [n, st, sk, r] = tally;
+        self.regional += r;
+        self.interpolated += st;
+        if had_history {
+            self.from_history += sk;
+            self.black += n;
+        } else {
+            self.black += n + sk;
+        }
+    }
+}
+
+/// A stretch of a row's mask, as the decoders walk it.
+#[derive(Debug, Clone, Copy)]
+enum Stretch {
+    /// Every entry holds this status: one bulk copy or fill.
+    Uniform(u8),
+    /// Fewer than 32 entries of mixed statuses, decoded one per pixel.
+    Mixed,
+}
+
+/// Uniform runs at least this long inside a mixed mask word are
+/// decoded in bulk; shorter ones go pixel by pixel.
+const MIN_BULK_RUN: usize = 8;
+
+/// Reads the row stretch starting at column `x` of the row at entry
+/// `base` (`w` columns) and returns it with its end column, adding its
+/// per-status entry counts (indexed by wire bits) to `tally`.
+///
+/// The mask is read 32 entries per [`kernels::entry_word`]. When the
+/// run starting at `x` fills the word or is at least [`MIN_BULK_RUN`]
+/// long, the stretch is that whole run, followed through as many words
+/// as it spans. Otherwise the stretch is mixed and ends where the
+/// word's last run starts, since that run may go on into the next word.
+fn next_stretch(
+    mask: &[u8],
+    base: usize,
+    x: usize,
+    w: usize,
+    tally: &mut [u64; 4],
+) -> (Stretch, usize) {
+    const EVEN: u64 = 0x5555_5555_5555_5555;
+    let valid = |n: usize| if n >= 32 { u64::MAX } else { (1u64 << (2 * n)) - 1 };
+    let n = (w - x).min(32);
+    let word = kernels::entry_word(mask, base + x) & valid(n);
+    let s = (word & 0b11) as u8; // rpr-check: allow(truncating-cast): masked to 2 bits
+    let splat = u64::from(s) * EVEN;
+    let diff = (word ^ splat) & valid(n);
+    let first_run = if diff == 0 { n } else { us(diff.trailing_zeros()) / 2 };
+    if diff == 0 || first_run >= MIN_BULK_RUN {
+        let mut end = x + first_run;
+        if diff == 0 {
+            // The run fills the word: follow it through the next words
+            // to where it ends.
+            while end < w {
+                let m = (w - end).min(32);
+                let next = (kernels::entry_word(mask, base + end) ^ splat) & valid(m);
+                if next != 0 {
+                    end += us(next.trailing_zeros()) / 2;
+                    break;
+                }
+                end += m;
+            }
+        }
+        if let Some(t) = tally.get_mut(usize::from(s)) {
+            *t += ul(end - x);
+        }
+        return (Stretch::Uniform(s), end);
+    }
+    // Bit pair `k` of `change` is set where entry `k + 1` differs from
+    // entry `k`; the highest one is the last run's start, minus one.
+    let change = (word ^ (word >> 2)) & valid(n - 1);
+    let len = us(63 - change.leading_zeros()) / 2 + 1;
+    let word = word & valid(len);
+    let lo = u64::from((word & EVEN).count_ones());
+    let hi = u64::from((word >> 1 & EVEN).count_ones());
+    let r = u64::from((word & word >> 1 & EVEN).count_ones());
+    let counts = [ul(len) + r - lo - hi, lo - r, hi - r, r];
+    for (t, c) in tally.iter_mut().zip(counts) {
+        *t += c;
+    }
+    (Stretch::Mixed, x + len)
+}
+
+/// Copies a uniform `R` stretch's pixels from the row payload starting
+/// at `next_r`, decoding any overrun past the payload as black, and
+/// returns the payload position after it.
+fn copy_regional(row_pixels: &[u8], next_r: usize, dst: &mut [u8]) -> usize {
+    let avail = row_pixels.len().saturating_sub(next_r).min(dst.len());
+    let (copied, pad) = dst.split_at_mut(avail);
+    copied.copy_from_slice(row_pixels.get(next_r..next_r + avail).unwrap_or(&[]));
+    pad.fill(0);
+    next_r + dst.len()
+}
+
+/// Per-row state of nearest-anchor reconstruction: the row payload
+/// and the next byte to take from it, plus the distance to and value
+/// of the last `R` pixel seen in the row (`u32::MAX` and 0 before the
+/// first).
+struct Nearest<'a> {
+    row_pixels: &'a [u8],
+    next_r: usize,
+    left_dist: u32,
+    left: u8,
+}
+
+impl<'a> Nearest<'a> {
+    fn start_row(row_pixels: &'a [u8]) -> Self {
+        Nearest { row_pixels, next_r: 0, left_dist: u32::MAX, left: 0 }
+    }
+
+    /// Moves past `n` pixels that are not `R`.
+    #[inline(always)]
+    fn pass(&mut self, n: usize) {
+        self.left_dist = self.left_dist.saturating_add(u32::try_from(n).unwrap_or(u32::MAX));
+    }
+
+    /// An `R` pixel: the next payload byte (black once exhausted).
+    #[inline(always)]
+    fn regional(&mut self) -> (u8, u32) {
+        let v = self.row_pixels.get(self.next_r).copied().unwrap_or(0);
+        self.next_r += 1;
+        (self.left_dist, self.left) = (0, v);
+        (v, 0)
+    }
+
+    /// A uniform `R` stretch, copied in bulk.
+    fn regional_run(&mut self, dst: &mut [u8], dist: &mut [u32]) {
+        self.next_r = copy_regional(self.row_pixels, self.next_r, dst);
+        dist.fill(0);
+        (self.left_dist, self.left) = (0, dst.last().copied().unwrap_or(0));
+    }
+
+    /// A strided pixel whose above neighbour is at chamfer distance
+    /// `above_dist` with value `above`: the last `R` pixel to its left,
+    /// unless the pixel above is strictly nearer (a tie goes left);
+    /// black at distance `u32::MAX` when neither has data.
+    #[inline(always)]
+    fn strided(&mut self, above_dist: u32, above: u8) -> (u8, u32) {
+        self.pass(1);
+        let da = above_dist.saturating_add(1);
+        if self.left_dist <= da {
+            (self.left, self.left_dist)
+        } else {
+            (above, da)
         }
     }
 }

@@ -18,6 +18,20 @@
 //! ablation): the scalable *hybrid* design that uses the shortlist, and
 //! the naive *parallel* design that compares every pixel against every
 //! region.
+//!
+//! [`RhythmicEncoder`] applies the engine's verdicts a row span at a
+//! time rather than a pixel at a time. Each shortlisted region covers
+//! one span of the row, `Sk`, `St`, or `St` with an `R` anchor every
+//! `stride` columns from its left edge. When the row's spans are
+//! disjoint (every row of a single-region frame), the status counts
+//! are arithmetic, the mask is written from periodic 32-entry word
+//! templates ([`kernels::write_span_mask`]) and the payload is a
+//! strided copy ([`kernels::gather_strided`]), so the row costs in
+//! spans and mask words, not pixels. Rows whose spans overlap fall
+//! back to merging priorities in a one-byte-per-pixel row and the
+//! count, pack and gather kernels; that path is the span path's
+//! differential reference, and both stay byte-identical to the
+//! per-pixel [`StreamingEncoder`] with unchanged [`EncoderStats`].
 
 use crate::kernels;
 use crate::{
@@ -302,6 +316,21 @@ pub struct RhythmicEncoder {
     row_pri: Vec<u8>,
     row_counts: Vec<u32>,
     label_px: Vec<u64>,
+    spans: Vec<RowSpan>,
+}
+
+/// One shortlisted region's footprint on the row being encoded:
+/// columns `[x0, x_end)` all carry `status`, and when `anchors > 0`
+/// every `anchors`-th column from `x0` is an `R` anchor instead (a
+/// sampled row of a region with that stride).
+#[derive(Debug, Clone, Copy)]
+struct RowSpan {
+    x0: usize,
+    x_end: usize,
+    status: PixelStatus,
+    anchors: usize,
+    /// Index of the region label in the frame's list.
+    label: usize,
 }
 
 impl RhythmicEncoder {
@@ -331,6 +360,7 @@ impl RhythmicEncoder {
             row_pri: Vec::new(),
             row_counts: Vec::new(),
             label_px: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -393,7 +423,7 @@ impl RhythmicEncoder {
         // Disjoint field borrows: the selector's shortlist stays
         // borrowed across stats/scratch updates below.
         let RhythmicEncoder {
-            width, height, config, stats, pool, selector, row_pri, row_counts, label_px,
+            width, height, config, stats, pool, selector, row_pri, row_counts, label_px, spans,
         } = self;
         let (width, height, config) = (*width, *height, *config);
 
@@ -456,71 +486,115 @@ impl RhythmicEncoder {
                 continue;
             }
 
-            // Paint the row in *priority* space (one byte per pixel,
-            // N=0 < Sk=1 < St=2 < R=3): the merge is a plain `u8::max`
-            // sweep the compiler vectorizes, which the 2-bit wire
-            // encoding cannot be (its bit order is not priority order).
-            row_pri.fill(0);
+            // Sampler + counter. Each shortlisted region covers one span
+            // of the row; sorted by start, spans that do not overlap
+            // (every row of a single-region frame) need no priority
+            // merge, so they are counted, masked and gathered a span at
+            // a time. Overlapping rows merge in priority space below.
+            spans.clear();
             for &i in shortlist {
                 let r = &labels[i];
-                let sampled = r.is_sampled_on(frame_idx);
-                let stride = r.stride.max(1);
-                let y_aligned = (y - r.y).is_multiple_of(stride);
                 let x0 = (r.x as usize).min(w);
                 let x_end = (r.right().min(width) as usize).max(x0);
-                let Some(span) = row_pri.get_mut(x0..x_end) else { continue };
-                if !sampled {
-                    for p in span.iter_mut() {
-                        *p = (*p).max(1); // Skipped
-                    }
-                } else if !y_aligned {
-                    for p in span.iter_mut() {
-                        *p = (*p).max(2); // Strided
-                    }
-                } else {
-                    for p in span.iter_mut() {
-                        *p = (*p).max(2);
-                    }
-                    // Anchor columns; span starts at r.x, so step_by
-                    // lands exactly on (x - r.x) % stride == 0.
-                    for p in span.iter_mut().step_by(stride as usize) {
-                        *p = 3; // Regional outranks every merge
-                    }
+                if x0 == x_end {
+                    continue;
                 }
+                let stride = r.stride.max(1);
+                let (status, anchors) = if !r.is_sampled_on(frame_idx) {
+                    (PixelStatus::Skipped, 0)
+                } else if !(y - r.y).is_multiple_of(stride) {
+                    (PixelStatus::Strided, 0)
+                } else {
+                    (PixelStatus::Strided, stride as usize)
+                };
+                spans.push(RowSpan { x0, x_end, status, anchors, label: i });
             }
-
-            // Attribute stored pixels to the first shortlist label that
-            // samples them (the label whose `R` won the priority merge).
-            if tracing {
-                for (x, &pri) in row_pri.iter().enumerate() {
-                    if pri != 3 {
+            spans.sort_unstable_by_key(|s| s.x0);
+            let disjoint = spans.windows(2).all(|p| p[0].x_end <= p[1].x0);
+            let src = frame.row(y);
+            let base = y as usize * w;
+            let mut counts = [0u64; 4];
+            if disjoint {
+                let mut covered = 0usize;
+                for s in spans.iter() {
+                    let len = s.x_end - s.x0;
+                    covered += len;
+                    kernels::write_span_mask(
+                        &mut mask_bytes,
+                        base + s.x0,
+                        len,
+                        s.status.bits(),
+                        s.anchors,
+                    );
+                    if s.anchors == 0 {
+                        counts[usize::from(s.status.priority())] += len as u64;
                         continue;
                     }
-                    for &i in shortlist {
-                        if ComparisonEngine::classify_one(&labels[i], x as u32, y, frame_idx)
-                            == PixelStatus::Regional
-                        {
-                            if let Some(slot) = label_px.get_mut(i) {
-                                *slot += 1;
-                            }
-                            break;
+                    let span_src = src.get(s.x0..s.x_end).unwrap_or(&[]);
+                    let kept = kernels::gather_strided(span_src, s.anchors, pixels);
+                    counts[3] += kept as u64;
+                    counts[2] += (len - kept) as u64;
+                    if let Some(slot) = label_px.get_mut(s.label) {
+                        *slot += kept as u64;
+                    }
+                }
+                counts[0] = (w - covered) as u64;
+            } else {
+                // Paint in *priority* space (one byte per pixel, N=0 <
+                // Sk=1 < St=2 < R=3), where the merge is a plain
+                // `u8::max` (the 2-bit wire encoding is not ordered by
+                // priority), then count, pack and gather.
+                row_pri.fill(0);
+                for s in spans.iter() {
+                    let Some(span) = row_pri.get_mut(s.x0..s.x_end) else { continue };
+                    let pri = s.status.priority();
+                    if s.anchors == 1 {
+                        span.fill(3); // Regional outranks every merge
+                        continue;
+                    }
+                    for p in span.iter_mut() {
+                        *p = (*p).max(pri);
+                    }
+                    if s.anchors > 1 {
+                        // Anchor columns: the span starts at the region's
+                        // left edge, so step_by lands on its stride grid.
+                        for p in span.iter_mut().step_by(s.anchors) {
+                            *p = 3;
                         }
                     }
                 }
-            }
 
-            // Sampler + counter, kernelized: histogram the row, pack the
-            // mask 32 entries per u64 word, gather the `R` payload a run
-            // at a time (crates/core/src/kernels.rs).
-            let counts = kernels::count_priorities(row_pri);
+                // Attribute stored pixels to the first shortlist label
+                // that samples them (the label whose `R` won the merge).
+                if tracing {
+                    for (x, &pri) in row_pri.iter().enumerate() {
+                        if pri != 3 {
+                            continue;
+                        }
+                        for &i in shortlist {
+                            if ComparisonEngine::classify_one(&labels[i], x as u32, y, frame_idx)
+                                == PixelStatus::Regional
+                            {
+                                if let Some(slot) = label_px.get_mut(i) {
+                                    *slot += 1;
+                                }
+                                break;
+                            }
+                        }
+                    }
+                }
+
+                counts = kernels::count_priorities(row_pri);
+                kernels::pack_priority_row(&mut mask_bytes, base, row_pri);
+                pixels.reserve(counts[3] as usize);
+                kernels::gather_regional(row_pri, src, pixels);
+            }
             stats.status_counts[PixelStatus::NonRegional.bits() as usize] += counts[0];
             stats.status_counts[PixelStatus::Skipped.bits() as usize] += counts[1];
             stats.status_counts[PixelStatus::Strided.bits() as usize] += counts[2];
             stats.status_counts[PixelStatus::Regional.bits() as usize] += counts[3];
-            kernels::pack_priority_row(&mut mask_bytes, y as usize * w, row_pri);
-            let count = kernels::gather_regional(row_pri, frame.row(y), pixels);
             stats.pixels_in += u64::from(width);
-            row_counts.push(u32::try_from(count).unwrap_or(u32::MAX));
+            row_counts.push(u32::try_from(counts[3]).unwrap_or(u32::MAX));
         }
 
         if tracing {

@@ -241,6 +241,17 @@ pub fn pack_priority_row(packed: &mut [u8], start_entry: usize, row_pri: &[u8]) 
     );
 }
 
+/// Spreads 16 bits of 2-bit wire entries into 8 status bytes, entry
+/// `k` landing in byte `k`: three shift-or-mask steps halve the packed
+/// width each step (16 -> 8 -> 4 -> 2 bits per lane).
+#[inline(always)]
+fn spread_entries(bits: u16) -> u64 {
+    let mut v = u64::from(bits);
+    v = (v | (v << 24)) & 0x0000_00FF_0000_00FF;
+    v = (v | (v << 12)) & 0x000F_000F_000F_000F;
+    (v | (v << 6)) & 0x0303_0303_0303_0303
+}
+
 /// Per-entry reference implementation of [`pack_priority_row`]. Same
 /// zero-target contract.
 pub fn pack_priority_row_scalar(packed: &mut [u8], start_entry: usize, row_pri: &[u8]) {
@@ -256,8 +267,12 @@ pub fn pack_priority_row_scalar(packed: &mut [u8], start_entry: usize, row_pri: 
 /// indexed by priority `[N, Sk, St, R]`.
 ///
 /// Contract: entries must be `0..=3` (the encoder's paint phase only
-/// produces those). Four vectorizable equality sweeps beat one scalar
-/// histogram loop because each sweep compiles to wide compares.
+/// produces those). One equality sweep per value does not vectorize
+/// for baseline x86-64: the four sweeps took about 0.6 µs per
+/// 256-entry row on a 2-vCPU x86-64 host. The encoder calls this only
+/// on rows whose region spans overlap; a word-wide bit-plane count
+/// cut slam_predict's `core.encode` by about 40% but moved no
+/// end-to-end metric, so it was not kept (DESIGN.md §4g).
 pub fn count_priorities(row_pri: &[u8]) -> [u64; 4] {
     let mut counts = [0u64; 4];
     for (p, slot) in counts.iter_mut().enumerate() {
@@ -376,6 +391,218 @@ pub fn gather_regional_scalar(row_pri: &[u8], src: &[u8], out: &mut Vec<u8>) -> 
         }
     }
     appended
+}
+
+/// Bit 1 of every entry whose offset from bit 0 is a multiple of
+/// `stride` (`stride >= 1`): the `R`-anchor template of one 32-entry
+/// mask word whose first anchor is entry 0. OR-ing it into an `St`
+/// splat (`01` per entry) turns exactly the anchors into `R` (`11`).
+#[inline]
+fn anchor_template(stride: usize) -> u64 {
+    let mut t = 0u64;
+    let mut e = 0usize;
+    while e < 32 {
+        t |= 0b10 << (2 * e);
+        e += stride;
+    }
+    t
+}
+
+/// ORs one region span's statuses into packed entries
+/// `[start_entry, start_entry + len)`: every entry gets the 2-bit
+/// `status`, and when `stride > 0` every `stride`-th entry counted from
+/// `start_entry` also gets bit 1 — with `status` = `St` (`01`) that is
+/// a sampled strided row, whose anchors are `R` (`11`); `stride == 1`
+/// makes the whole span `R`.
+///
+/// Same zero-target contract as [`pack_priority_row`]; entries past the
+/// end of `packed` are dropped. A span without anchors, or with an
+/// anchor on every entry, is one repeated byte, OR-ed a byte at a time
+/// (its misaligned ends per entry). Otherwise each 32-entry mask word
+/// is built from a periodic template — the status splat OR the anchor
+/// template shifted to the word's first anchor — masked to the span at
+/// its two edge words and OR-ed in with one read-modify-write, so the
+/// cost is one step per 32 entries whatever the stride.
+pub fn write_span_mask(
+    packed: &mut [u8],
+    start_entry: usize,
+    len: usize,
+    status: u8,
+    stride: usize,
+) {
+    if len == 0 {
+        return;
+    }
+    let end = start_entry + len;
+    if stride <= 1 {
+        // No anchors, or an anchor on every entry: one repeated byte.
+        // The misaligned head and tail go per entry, the whole bytes in
+        // one sweep.
+        let byte = splat_byte(status) | if stride == 1 { 0xAA } else { 0 };
+        let whole_start = start_entry.next_multiple_of(4).min(end);
+        let whole_end = whole_start + (end - whole_start) / 4 * 4;
+        for i in (start_entry..whole_start).chain(whole_end..end) {
+            if let Some(b) = packed.get_mut(i / 4) {
+                *b |= (byte & 0b11) << ((i % 4) * 2);
+            }
+        }
+        let bytes = packed.get_mut(whole_start / 4..).unwrap_or(&mut []);
+        for b in bytes.iter_mut().take((whole_end - whole_start) / 4) {
+            *b |= byte;
+        }
+        return;
+    }
+    let splat = u64::from(splat_byte(status)) * 0x0101_0101_0101_0101;
+    let template = anchor_template(stride);
+    let step = 32 % stride;
+    // Offset of the first anchor within the current word, counted from
+    // the word's entry 0 (may exceed 31 when the stride is longer than
+    // a word; the shift below then drops it).
+    let mut first = start_entry % 32;
+    let mut j = start_entry / 32;
+    while j * 32 < end {
+        let wb = j * 32;
+        let lo = start_entry.max(wb) - wb;
+        let hi = end.min(wb + 32) - wb;
+        let range =
+            if hi - lo == 32 { u64::MAX } else { ((1u64 << (2 * (hi - lo))) - 1) << (2 * lo) };
+        let anchors = if first < 32 { template << (2 * first) } else { 0 };
+        or_word(packed, j * 8, (splat | anchors) & range);
+        first = if first >= 32 {
+            first - 32
+        } else if first >= stride {
+            // Only in the span's first word, whose first anchor is the
+            // span start rather than a multiple of the stride past 0.
+            (first + stride - step) % stride
+        } else {
+            let next = first + stride - step;
+            if next >= stride {
+                next - stride
+            } else {
+                next
+            }
+        };
+        j += 1;
+    }
+}
+
+/// ORs `value` into the 8 packed bytes at `byte_idx` (little-endian);
+/// bytes past the end of `packed` are dropped.
+#[inline(always)]
+fn or_word(packed: &mut [u8], byte_idx: usize, value: u64) {
+    match packed.get_mut(byte_idx..byte_idx + 8) {
+        Some(s) => {
+            let old = <[u8; 8]>::try_from(&*s).map_or(0, u64::from_le_bytes);
+            s.copy_from_slice(&(old | value).to_le_bytes());
+        }
+        None => {
+            let bytes = value.to_le_bytes();
+            let tail = packed.get_mut(byte_idx..).unwrap_or(&mut []);
+            for (slot, b) in tail.iter_mut().zip(bytes) {
+                *slot |= b;
+            }
+        }
+    }
+}
+
+/// Per-entry reference implementation of [`write_span_mask`].
+pub fn write_span_mask_scalar(
+    packed: &mut [u8],
+    start_entry: usize,
+    len: usize,
+    status: u8,
+    stride: usize,
+) {
+    for k in 0..len {
+        let anchor = stride > 0 && k % stride == 0;
+        let bits = (status & 0b11) | if anchor { 0b10 } else { 0 };
+        let i = start_entry + k;
+        if let Some(b) = packed.get_mut(i / 4) {
+            *b |= bits << ((i % 4) * 2);
+        }
+    }
+}
+
+/// Appends every `stride`-th pixel of `span` (from its first) to `out`,
+/// returning how many were appended: the `R` pixels of a sampled span
+/// whose anchors [`write_span_mask`] wrote. Stride 1 is one
+/// `extend_from_slice`; `out` is reserved for the whole span up front.
+/// A `stride` of 0 reads as 1.
+pub fn gather_strided(span: &[u8], stride: usize, out: &mut Vec<u8>) -> usize {
+    let stride = stride.max(1);
+    let n = span.len().div_ceil(stride);
+    // rpr-check: allow(hot-path-alloc): one reservation per span, amortized into pooled payload capacity
+    out.reserve(n);
+    if stride == 1 {
+        // rpr-check: allow(hot-path-alloc): fits the capacity reserved above
+        out.extend_from_slice(span);
+    } else {
+        // rpr-check: allow(hot-path-alloc): fits the capacity reserved above
+        out.extend(span.iter().step_by(stride));
+    }
+    n
+}
+
+/// Per-pixel reference implementation of [`gather_strided`].
+pub fn gather_strided_scalar(span: &[u8], stride: usize, out: &mut Vec<u8>) -> usize {
+    let stride = stride.max(1);
+    let mut appended = 0;
+    for (k, &v) in span.iter().enumerate() {
+        if k % stride == 0 {
+            // rpr-check: allow(hot-path-alloc): reference kernel; growth amortized into pooled payload capacity
+            out.push(v);
+            appended += 1;
+        }
+    }
+    appended
+}
+
+/// The 32 packed entries from `start_entry` as one u64, entry `k` at
+/// bits `2k`, from any 2-bit phase; entries past the end of `packed`
+/// read as `0`.
+#[inline(always)]
+pub(crate) fn entry_word(packed: &[u8], start_entry: usize) -> u64 {
+    let byte = start_entry / 4;
+    let shift = (start_entry % 4) * 2;
+    let lo = word_at(packed, byte);
+    if shift == 0 {
+        lo
+    } else {
+        (lo >> shift) | (u64::from(packed.get(byte + 8).copied().unwrap_or(0)) << (64 - shift))
+    }
+}
+
+/// Unpacks packed entries `[start_entry, start_entry + out.len())` into
+/// one 2-bit wire status per byte of `out` — the decoder's view of a
+/// mixed stretch of a row, and the inverse of [`pack_priority_row`] up
+/// to the priority/wire mapping. Entries past the end of `packed` read
+/// as `0`.
+///
+/// One [`entry_word`] read per 32 entries, from any 2-bit phase; each
+/// 16-bit quarter is spread into 8 bytes with three shift-or-mask
+/// steps.
+pub fn unpack_mask_row(packed: &[u8], start_entry: usize, out: &mut [u8]) {
+    let mut chunks = out.chunks_exact_mut(32);
+    let mut e = start_entry;
+    for chunk in &mut chunks {
+        let word = entry_word(packed, e);
+        for (q, eight) in chunk.chunks_exact_mut(8).enumerate() {
+            let bits = (word >> (16 * q)) as u16; // rpr-check: allow(truncating-cast): keeps exactly the quarter word (8 entries) this step spreads
+            eight.copy_from_slice(&spread_entries(bits).to_le_bytes());
+        }
+        e += 32;
+    }
+    let word = entry_word(packed, e);
+    for (k, slot) in chunks.into_remainder().iter_mut().enumerate() {
+        *slot = ((word >> (2 * k)) & 0b11) as u8; // rpr-check: allow(truncating-cast): masked to 2 bits
+    }
+}
+
+/// Per-entry reference implementation of [`unpack_mask_row`].
+pub fn unpack_mask_row_scalar(packed: &[u8], start_entry: usize, out: &mut [u8]) {
+    for (k, slot) in out.iter_mut().enumerate() {
+        *slot = entry_at(packed, start_entry + k);
+    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,21 @@
 //! naive [`rpr_testkit::ReferenceDecoder`] — under a poisoned
 //! [`BufferPool`], so a kernel reading recycled memory it never wrote
 //! shows up as a sentinel-valued divergence.
+//!
+//! The encoder has two row paths: rows whose region spans are disjoint
+//! go span by span (mask templates, arithmetic counts, strided
+//! gathers), rows with overlapping spans merge in priority space. The
+//! span battery pins the first to the second — a region set plus a
+//! duplicate of one member forces the priority path on every row the
+//! duplicate covers without changing the output — and both to the
+//! per-pixel [`StreamingEncoder`].
 
 use proptest::prelude::*;
 use rpr_core::kernels;
 use rpr_core::{
-    BufferPool, EncMask, EncoderConfig, FrameMetadata, ReconstructionMode, RegionLabel, RegionList,
-    RhythmicEncoder, RowOffsets, SoftwareDecoder, StreamingEncoder,
+    BufferPool, EncMask, EncodedFrame, EncoderConfig, FrameMetadata, PixelStatus,
+    ReconstructionMode, RegionLabel, RegionList, RhythmicEncoder, RowOffsets, SoftwareDecoder,
+    StreamingEncoder,
 };
 use rpr_frame::{GrayFrame, Plane};
 use rpr_testkit::ReferenceDecoder;
@@ -120,6 +129,212 @@ proptest! {
         };
         prop_assert_eq!(moved.is_consistent(), moved.is_consistent_scalar());
         prop_assert_eq!(moved.is_consistent(), delta == 0);
+    }
+
+    /// The template span writer matches the per-entry writer for every
+    /// status, anchor stride (0 = none) and 2-bit/32-entry phase, into
+    /// a mask that may end inside the span.
+    #[test]
+    fn span_mask_writer_equals_scalar(
+        start in 0usize..70,
+        len in 0usize..300,
+        status in 0u8..4,
+        stride in 0usize..40,
+        cut in 0usize..8,
+    ) {
+        let bytes = (start + len).div_ceil(4).saturating_sub(cut).max(1);
+        let mut fast = vec![0u8; bytes];
+        let mut slow = vec![0u8; bytes];
+        kernels::write_span_mask(&mut fast, start, len, status, stride);
+        kernels::write_span_mask_scalar(&mut slow, start, len, status, stride);
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// The strided gather matches the per-pixel gather.
+    #[test]
+    fn strided_gather_equals_scalar(
+        span in proptest::collection::vec(0u8..=255, 0..300),
+        stride in 0usize..9,
+    ) {
+        let (mut fast, mut slow) = (vec![7u8], vec![7u8]);
+        let n_fast = kernels::gather_strided(&span, stride, &mut fast);
+        let n_slow = kernels::gather_strided_scalar(&span, stride, &mut slow);
+        prop_assert_eq!(n_fast, n_slow);
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// The word-wide mask unpacker matches the per-entry unpacker from
+    /// any 2-bit phase, past the end of the packed bytes included.
+    #[test]
+    fn mask_unpack_equals_scalar((packed, start, len) in packed_window()) {
+        let mut fast = vec![0xA5u8; len];
+        let mut slow = vec![0x5Au8; len];
+        kernels::unpack_mask_row(&packed, start, &mut fast);
+        kernels::unpack_mask_row_scalar(&packed, start, &mut slow);
+        prop_assert_eq!(fast, slow);
+    }
+}
+
+/// Spans that touch, written one after another, equal the same spans
+/// painted into a priority row and packed, and their strided gathers
+/// equal the priority row's regional gather.
+#[test]
+fn touching_spans_equal_the_priority_row() {
+    for stride in 1..=5usize {
+        for a in 0..=40usize {
+            for b in [a, a + 1, a + stride, a + 33] {
+                let b = b.min(70);
+                // Spans [a, b) strided from `a`, then [b, 70) skipped,
+                // then nothing; the row sits at a misaligned entry.
+                let start = 3 + a % 4;
+                let mut pri = vec![0u8; 70];
+                for (x, p) in pri.iter_mut().enumerate().take(b).skip(a) {
+                    *p = if (x - a) % stride == 0 { 3 } else { 2 };
+                }
+                for p in pri.iter_mut().skip(b) {
+                    *p = 1;
+                }
+                let bytes = (start + 70).div_ceil(4);
+                let mut spans = vec![0u8; bytes];
+                kernels::write_span_mask(&mut spans, start + a, b - a, 0b01, stride);
+                kernels::write_span_mask(&mut spans, start + b, 70 - b, 0b10, 0);
+                let mut painted = vec![0u8; bytes];
+                kernels::pack_priority_row_scalar(&mut painted, start, &pri);
+                assert_eq!(spans, painted, "stride {stride} a {a} b {b}");
+
+                let src: Vec<u8> = (0..70).map(|i| (i * 37 % 251) as u8).collect();
+                let (mut g_span, mut g_row) = (Vec::new(), Vec::new());
+                kernels::gather_strided(&src[a..b], stride, &mut g_span);
+                kernels::gather_regional_scalar(&pri, &src, &mut g_row);
+                assert_eq!(g_span, g_row, "stride {stride} a {a} b {b}");
+            }
+        }
+    }
+}
+
+/// Per-status pixel counts of a frame, indexed by wire bits, as the
+/// per-pixel streaming encoder classifies it.
+fn streaming_encode(frame: &GrayFrame, idx: u64, regions: &RegionList) -> (EncodedFrame, [u64; 4]) {
+    let mut stream = StreamingEncoder::begin(frame.width(), frame.height(), idx, regions.clone());
+    let mut counts = [0u64; 4];
+    for &px in frame.as_slice() {
+        counts[stream.push(px).bits() as usize] += 1;
+    }
+    (stream.finish(), counts)
+}
+
+/// Region sets for the span battery: one region per stride 1..=5 at
+/// every x phase (stride phase and 2-bit/32-entry mask phase) and
+/// every y phase, plus touching and overlapping pairs.
+fn strided_region_sets(w: u32, h: u32) -> Vec<(String, Vec<RegionLabel>)> {
+    let mut sets = Vec::new();
+    for stride in 1..=5u32 {
+        for x0 in 0..(4 * stride).min(w) {
+            for y0 in 0..stride.min(h) {
+                let r =
+                    RegionLabel::new(x0, y0, w - x0 - (x0 % 3).min(w - x0 - 1), h - y0, stride, 2);
+                sets.push((format!("stride {stride} at ({x0},{y0})"), vec![r]));
+            }
+        }
+        let mid = w / 2;
+        if mid > 0 {
+            sets.push((
+                format!("touching stride {stride}"),
+                vec![
+                    RegionLabel::new(0, 0, mid, h, stride, 1),
+                    RegionLabel::new(mid, 1, w - mid, h - 1, 1 + stride % 3, 2),
+                ],
+            ));
+        }
+        sets.push((
+            format!("overlapping stride {stride}"),
+            vec![
+                RegionLabel::new(0, 0, w.div_ceil(3) * 2, h, stride, 1),
+                RegionLabel::new(w / 3, 1, w - w / 3, h - 1, 1 + stride % 2, 2),
+            ],
+        ));
+    }
+    sets
+}
+
+/// The span path against the priority-row path and the per-pixel
+/// streaming encoder, for every set of [`strided_region_sets`] at every
+/// awkward width, on sampled and skipped frames, out of a poisoned
+/// pool that the frames are recycled into. The duplicate of the first
+/// region overlaps it on every row, which sends those rows down the
+/// priority-row path with the same statuses.
+#[test]
+fn span_path_matches_priority_path_and_streaming_reference() {
+    for &w in &AWKWARD_WIDTHS {
+        let h = 11;
+        for (name, labels) in strided_region_sets(w, h) {
+            let regions = RegionList::new_lossy(w, h, labels.clone());
+            let mut doubled_labels = labels.clone();
+            doubled_labels.push(labels[0]);
+            let doubled = RegionList::new_lossy(w, h, doubled_labels);
+            let pool = BufferPool::poisoned(0xA5);
+            let mut spans =
+                RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
+            let mut merged =
+                RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
+            for idx in 0..4u64 {
+                let frame = textured_frame(w, h, w ^ idx as u32);
+                let a = spans.encode(&frame, idx, &regions);
+                let b = merged.encode(&frame, idx, &doubled);
+                let (expect, counts) = streaming_encode(&frame, idx, &regions);
+                assert_eq!(a, expect, "width {w} {name} frame {idx}: span path");
+                assert_eq!(b, expect, "width {w} {name} frame {idx}: priority path");
+                assert_eq!(
+                    spans.stats().status_counts,
+                    merged.stats().status_counts,
+                    "width {w} {name} frame {idx}"
+                );
+                let before = spans.stats().status_counts;
+                a.recycle(&pool);
+                b.recycle(&pool);
+                if idx == 0 {
+                    assert_eq!(before, counts, "width {w} {name}: status counts");
+                }
+            }
+            assert_eq!(spans.stats().pixels_out, merged.stats().pixels_out, "{name}");
+            assert_eq!(spans.stats().metadata_bytes, merged.stats().metadata_bytes, "{name}");
+        }
+    }
+}
+
+/// The decoder against the reference decoder in both modes on the
+/// span battery's region sets, sampled and skipped frames alternating,
+/// decoding out of a poisoned pool.
+#[test]
+fn decoder_matches_reference_on_strided_sets() {
+    for &w in &AWKWARD_WIDTHS {
+        let h = 11;
+        for (name, labels) in strided_region_sets(w, h) {
+            let regions = RegionList::new_lossy(w, h, labels);
+            for mode in [ReconstructionMode::BlockNearest, ReconstructionMode::FifoReplicate] {
+                let pool = BufferPool::poisoned(0x5A);
+                let mut enc =
+                    RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
+                let mut dec = SoftwareDecoder::with_pool(w, h, mode, pool.clone());
+                let mut reference = ReferenceDecoder::new(w, h, mode);
+                for idx in 0..4u64 {
+                    let frame = textured_frame(w, h, (idx as u32 * 3) ^ w);
+                    let encoded = enc.encode(&frame, idx, &regions);
+                    let out = dec.decode(&encoded);
+                    assert_eq!(
+                        out,
+                        reference.decode(&encoded),
+                        "width {w} {name} {mode:?} frame {idx}"
+                    );
+                    dec.recycle_output(out);
+                }
+                assert_eq!(
+                    dec.stats().regional,
+                    enc.stats().status_counts[PixelStatus::Regional.bits() as usize],
+                    "width {w} {name} {mode:?}"
+                );
+            }
+        }
     }
 }
 
