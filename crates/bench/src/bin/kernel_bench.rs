@@ -1,6 +1,7 @@
 //! Hot-path kernel throughput: every chunked kernel measured against
-//! the scalar reference it is differentially tested against, plus the
-//! combined pooled encode→decode pipeline against the per-pixel
+//! the scalar reference it is differentially tested against, the pose
+//! task's blob labeller against its flood fill, plus the combined
+//! pooled encode→decode pipeline against the per-pixel
 //! streaming/reference pipeline.
 //!
 //! Usage:
@@ -25,7 +26,10 @@ use rpr_core::{
 use rpr_frame::{GrayFrame, Plane};
 use rpr_testkit::ReferenceDecoder;
 use rpr_trace::{RunReport, REPORT_SCHEMA_VERSION};
+use rpr_vision::{detect_blobs_into, detect_blobs_scalar, BlobScratch};
 use rpr_wire::{crc32, rle};
+use rpr_workloads::datasets::VideoDataset;
+use rpr_workloads::PoseDataset;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -276,6 +280,32 @@ fn main() {
             std::hint::black_box(refdec.decode(&encoded).as_slice().len());
         });
         runs.push(Pair { kernel: "strided_decode", scalar_mb_s, chunked_mb_s });
+    }
+
+    // Blob labelling on rendered pose frames at the pose task's
+    // threshold and minimum area: the run labeller with a reused
+    // scratch against the flood fill it is pinned to in the
+    // blob-equivalence battery.
+    {
+        let ds = PoseDataset::new(w, h, 8, 2000);
+        let pose: Vec<GrayFrame> = (0..ds.len()).map(|i| ds.frame(i)).collect();
+        let min_area = u64::from(w) * u64::from(h) / 600;
+        let mut scratch = BlobScratch::new();
+        let mut blobs = Vec::new();
+        runs.push(Pair {
+            kernel: "blob_label",
+            scalar_mb_s: mb_per_s(pixels * pose.len(), || {
+                for frame in &pose {
+                    std::hint::black_box(detect_blobs_scalar(frame, 150, min_area).len());
+                }
+            }),
+            chunked_mb_s: mb_per_s(pixels * pose.len(), || {
+                for frame in &pose {
+                    detect_blobs_into(&mut scratch, frame, 150, min_area, &mut blobs);
+                    std::hint::black_box(blobs.len());
+                }
+            }),
+        });
     }
 
     // Combined single-core encode→decode pipeline: the pooled chunked

@@ -143,6 +143,11 @@ impl<'w> Graph<'w> {
         &self.ws.files[self.fns[id].0].path
     }
 
+    /// Repo-relative paths of every parsed file.
+    pub fn file_paths(&self) -> Vec<&str> {
+        self.ws.files.iter().map(|f| f.path.as_str()).collect()
+    }
+
     /// Human-readable qualified name: `file.rs::Type::fn`.
     pub fn display(&self, id: usize) -> String {
         let f = self.model(id);

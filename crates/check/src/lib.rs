@@ -104,12 +104,25 @@ pub fn run_graph_lints(graph: &Graph<'_>, policy: &Policy, ids: &[&str]) -> Vec<
 /// Returns the first I/O failure while walking or reading sources.
 pub fn check_workspace(root: &Path, policy: &Policy) -> std::io::Result<(Vec<Finding>, usize)> {
     let files = walk::collect_rust_files(root, policy)?;
-    let mut findings = Vec::new();
+    let paths: Vec<&str> = files.iter().map(String::as_str).collect();
+    let mut findings = token_scope_findings(&paths, policy);
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
         findings.extend(check_file(rel, &src, policy));
     }
     Ok((findings, files.len()))
+}
+
+/// The token lints' scope check: an `include` entry of RPR001 or
+/// RPR002 that matches none of the scanned `paths` is a finding.
+pub(crate) fn token_scope_findings(paths: &[&str], policy: &Policy) -> Vec<Finding> {
+    [
+        (&LINTS[0], "lints.panic_surface.include"),
+        (&LINTS[1], "lints.truncating_cast.include"),
+    ]
+    .into_iter()
+    .flat_map(|(lint, key)| lints::unmatched_scope_entries(lint, key, policy, paths))
+    .collect()
 }
 
 /// Renders the pinned dynamic-analysis coverage for `tool`
@@ -263,6 +276,7 @@ mod tests {
             "crates/core/src/kernels.rs::unpack_mask_row",
             "crates/core/src/kernels.rs::unpack_mask_row_scalar",
             "crates/core/src/kernels.rs::entry_word",
+            "crates/vision/src/blob.rs::detect_blobs_into",
         ]),
         ("lints.event_loop_blocking.entries", &[
             "crates/serve/src/server.rs::Server::step",

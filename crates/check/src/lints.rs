@@ -146,6 +146,33 @@ pub(crate) fn in_set(path: &str, entries: &[String]) -> bool {
     entries.iter().any(|e| path_matches(path, e))
 }
 
+/// One finding for each entry of the scope list `key` that matches
+/// none of `paths`: a misspelled or moved scope would otherwise cover
+/// nothing while the gate stays green.
+pub(crate) fn unmatched_scope_entries(
+    lint: &'static LintInfo,
+    key: &str,
+    policy: &Policy,
+    paths: &[&str],
+) -> Vec<Finding> {
+    policy
+        .str_array(key)
+        .iter()
+        .filter(|e| !paths.iter().any(|p| path_matches(p, e)))
+        .map(|e| {
+            finding(
+                lint,
+                e,
+                1,
+                format!(
+                    "`{key}` entry `{e}` matches no workspace file — fix its spelling, \
+                     or follow the file's rename or move"
+                ),
+            )
+        })
+        .collect()
+}
+
 /// A waiver parsed from a comment.
 #[derive(Debug, Clone)]
 pub(crate) struct Waiver {

@@ -29,10 +29,14 @@
 //! every lock in `g`'s transitive acquisition set is acquired-under-`A`.
 
 use crate::callgraph::Graph;
-use crate::lints::{finding, in_set, Finding, LINTS};
+use crate::lints::{finding, in_set, unmatched_scope_entries, Finding, LINTS};
 use crate::policy::Policy;
 use crate::syntax::Receiver;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The policy key naming the scope; an entry that matches no file is
+/// itself a finding.
+const SCOPE: &str = "lints.lock_order.include";
 
 /// Wrapper types that are not the lock-owning type itself.
 const WRAPPERS: &[&str] =
@@ -42,10 +46,11 @@ const WRAPPERS: &[&str] =
 pub fn run(graph: &Graph<'_>, policy: &Policy) -> Vec<Finding> {
     let lint = &LINTS[6];
     debug_assert_eq!(lint.id, "RPR007");
-    let include = policy.str_array("lints.lock_order.include");
+    let include = policy.str_array(SCOPE);
     if include.is_empty() {
         return Vec::new();
     }
+    let unmatched = unmatched_scope_entries(lint, SCOPE, policy, &graph.file_paths());
 
     // 1. Name every in-scope, non-waived lock acquisition.
     //    lock_keys[fn_id][lock_idx] = Some(class key) | None (waived /
@@ -151,7 +156,7 @@ pub fn run(graph: &Graph<'_>, policy: &Policy) -> Vec<Finding> {
 
     // 4. Cycle detection: any strongly-connected component with ≥2
     //    locks contains an ordering cycle.
-    let mut findings = Vec::new();
+    let mut findings = unmatched;
     for scc in sccs(&order) {
         if scc.len() < 2 {
             continue;
@@ -432,12 +437,25 @@ mod tests {
 
     #[test]
     fn out_of_scope_locks_are_ignored() {
-        let f = check(&[(
-            "crates/other/src/x.rs",
-            "pub struct S { a: Mutex<u8>, b: Mutex<u8> }\nimpl S {\n\
-             fn one(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
-             fn two(&self) { let g = self.b.lock(); let h = self.a.lock(); }\n}",
-        )]);
+        let f = check(&[
+            (
+                "crates/other/src/x.rs",
+                "pub struct S { a: Mutex<u8>, b: Mutex<u8> }\nimpl S {\n\
+                 fn one(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
+                 fn two(&self) { let g = self.b.lock(); let h = self.a.lock(); }\n}",
+            ),
+            // The scope must match a file, or it is a finding itself.
+            ("crates/serve/src/lib.rs", "pub fn idle() {}"),
+        ]);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn a_scope_that_matches_no_file_is_a_finding() {
+        let f = check(&[("crates/other/src/x.rs", "pub fn idle() {}")]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        let unmatched = "`crates/serve/src/` matches no workspace file";
+        assert!(f[0].message.contains(unmatched), "{f:?}");
+        assert!(!f[0].waived);
     }
 }

@@ -21,9 +21,13 @@
 //! (`allow(panic-surface)`) are reported as waived, not re-litigated.
 
 use crate::callgraph::Graph;
-use crate::lints::{Finding, LINTS};
+use crate::lints::{unmatched_scope_entries, Finding, LINTS};
 use crate::policy::Policy;
 use crate::reach::run_site_lint;
+
+/// The policy key naming the scope; an entry that matches no file is
+/// itself a finding.
+const SCOPE: &str = "lints.panic_reach.include";
 
 /// Default denied site kinds.
 pub const DEFAULT_DENY: &[&str] = &["unwrap", "expect", "panic-macro"];
@@ -32,16 +36,19 @@ pub const DEFAULT_DENY: &[&str] = &["unwrap", "expect", "panic-macro"];
 pub fn run(graph: &Graph<'_>, policy: &Policy) -> Vec<Finding> {
     let lint = &LINTS[5];
     debug_assert_eq!(lint.id, "RPR006");
-    let include = policy.str_array("lints.panic_reach.include");
+    let include = policy.str_array(SCOPE);
     if include.is_empty() {
         return Vec::new();
     }
+    let mut findings = unmatched_scope_entries(lint, SCOPE, policy, &graph.file_paths());
     let entries = graph.entries_in_scope(&include);
     let mut deny = policy.str_array("lints.panic_reach.deny");
     if deny.is_empty() {
         deny = DEFAULT_DENY.iter().map(|s| s.to_string()).collect();
     }
-    run_site_lint(graph, lint, &entries, &deny, &["panic-surface"])
+    let sites = run_site_lint(graph, lint, &entries, &deny, &["panic-surface"]);
+    findings.extend(sites);
+    findings
 }
 
 #[cfg(test)]

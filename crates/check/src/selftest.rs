@@ -13,9 +13,11 @@
 //! (`fixtures/graph/<lint>/{bad,good}/*.rs`) parsed as miniature
 //! workspaces and run through the full phase-1/phase-2 engine. A
 //! `misspelled/` fixture directory, whose `policy.toml` names an entry
-//! that resolves to no fn, runs wherever one exists and must fire; every
-//! lint whose fixture policy gives it `lints.<lint>.entries` must have
-//! one, so an entry-list lint cannot leave its own typos unchecked.
+//! that resolves to no fn or a scope that matches no file, runs
+//! wherever one exists and must fire; every graph lint whose fixture
+//! policy gives it `lints.<lint>.entries` or `.include` must have one,
+//! and every scoped token lint a `<lint>_misspelled.toml` policy, so a
+//! policy list cannot leave its own typos unchecked.
 //! `rpr-check --self-test` runs both corpora in CI next to the
 //! workspace scan; the fixtures directory is in `[global].exclude` so
 //! the deliberately-deadlocking fixture code never trips the real gate.
@@ -23,7 +25,7 @@
 use crate::callgraph::{Graph, Workspace};
 use crate::lints::{check_file, LINTS};
 use crate::policy::Policy;
-use crate::{run_graph_lints, GRAPH_LINT_IDS};
+use crate::{run_graph_lints, token_scope_findings, GRAPH_LINT_IDS};
 use std::path::Path;
 
 /// The policy the fixtures are checked under: every scoped lint is
@@ -85,6 +87,71 @@ fn graph_fixture_policy(dir: &Path, rel_dir: &str) -> std::io::Result<Policy> {
     })
 }
 
+/// The token fixtures' paths as the fixture policy scopes them.
+fn token_fixture_paths() -> Vec<String> {
+    LINTS
+        .iter()
+        .filter(|l| !GRAPH_LINT_IDS.contains(&l.id))
+        .flat_map(|l| {
+            let snake = l.name.replace('-', "_");
+            ["bad", "good"].map(|suffix| format!("fixtures/{snake}_{suffix}.rs"))
+        })
+        .collect()
+}
+
+/// Whether `policy` scopes the lint `snake` by an `include` list.
+fn reads_include(policy: &Policy, snake: &str) -> bool {
+    !policy
+        .str_array(&format!("lints.{snake}.include"))
+        .is_empty()
+}
+
+/// The token lints' scope check over the fixture corpus: quiet under
+/// the fixture policy, and firing for each scoped lint under its
+/// `<lint>_misspelled.toml`, whose `include` names no fixture file.
+fn token_scope_failures(fixtures_dir: &Path, policy: &Policy) -> std::io::Result<Vec<String>> {
+    let owned = token_fixture_paths();
+    let paths: Vec<&str> = owned.iter().map(String::as_str).collect();
+    let mut failures: Vec<String> = token_scope_findings(&paths, policy)
+        .iter()
+        .map(|f| format!("fixture policy scope produced a finding: {}", f.message))
+        .collect();
+    for lint in LINTS.iter().filter(|l| !GRAPH_LINT_IDS.contains(&l.id)) {
+        let snake = lint.name.replace('-', "_");
+        if !reads_include(policy, &snake) {
+            continue;
+        }
+        let file = format!("{snake}_misspelled.toml");
+        let text = match std::fs::read_to_string(fixtures_dir.join(&file)) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                failures.push(format!(
+                    "{} ({}) reads `lints.{snake}.include` but has no fixtures/{file}",
+                    lint.id, lint.name
+                ));
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        let misspelled = Policy::parse(&text).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("fixtures/{file}: {e}"),
+            )
+        })?;
+        if !token_scope_findings(&paths, &misspelled)
+            .iter()
+            .any(|f| f.id == lint.id && !f.waived)
+        {
+            failures.push(format!(
+                "{} ({}) accepted the unmatched scope entry of fixtures/{file}",
+                lint.id, lint.name
+            ));
+        }
+    }
+    Ok(failures)
+}
+
 /// Runs the self-test against `fixtures_dir`. Returns the list of
 /// failures (empty = all lints verified live).
 ///
@@ -128,15 +195,17 @@ pub fn run(fixtures_dir: &Path) -> std::io::Result<Vec<String>> {
         }
     }
 
+    failures.extend(token_scope_failures(fixtures_dir, &policy)?);
+
     // Graph lints: directory fixtures parsed as miniature workspaces.
     for lint in LINTS.iter().filter(|l| GRAPH_LINT_IDS.contains(&l.id)) {
         let snake = lint.name.replace('-', "_");
         let mut cases = vec![("bad", true), ("good", false)];
         if fixtures_dir.join("graph").join(&snake).join("misspelled").is_dir() {
             cases.push(("misspelled", true));
-        } else if reads_entries(&snake) {
+        } else if let Some(list) = policy_list(&snake) {
             failures.push(format!(
-                "{} ({}) reads `lints.{snake}.entries` but has no \
+                "{} ({}) reads `lints.{snake}.{list}` but has no \
                  fixtures/graph/{snake}/misspelled/ fixture",
                 lint.id, lint.name
             ));
@@ -193,12 +262,21 @@ pub fn run(fixtures_dir: &Path) -> std::io::Result<Vec<String>> {
     Ok(failures)
 }
 
-/// Whether the graph lint `snake` takes its entry points from
-/// `lints.<snake>.entries`: its bad fixture only fires when the default
-/// fixture policy gives it that list.
-fn reads_entries(snake: &str) -> bool {
-    Policy::parse(&default_graph_fixture_policy("fixtures"))
-        .is_ok_and(|p| !p.str_array(&format!("lints.{snake}.entries")).is_empty())
+/// The policy list the graph lint `snake` reads its entry points or
+/// scope from (`entries` or `include`), if the default fixture policy
+/// gives it one: its bad fixture only fires when that list is set.
+fn policy_list(snake: &str) -> Option<&'static str> {
+    let policy = Policy::parse(&default_graph_fixture_policy("fixtures")).ok()?;
+    if !policy
+        .str_array(&format!("lints.{snake}.entries"))
+        .is_empty()
+    {
+        Some("entries")
+    } else if reads_include(&policy, snake) {
+        Some("include")
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ mod orb;
 mod pyramid;
 mod ransac;
 
-pub use blob::{detect_blobs, Blob};
+pub use blob::{detect_blobs, detect_blobs_into, detect_blobs_scalar, Blob, BlobScratch};
 pub use brief::{BriefPattern, Descriptor, DESCRIPTOR_BYTES};
 pub use fast::{detect_fast, FastConfig};
 pub use keypoint::KeyPoint;

@@ -26,8 +26,8 @@ use rpr_stream::{
     TaskStage,
 };
 use rpr_vision::{
-    ate_rmse, detect_blobs, estimate_rigid_motion, match_descriptors, mean_average_precision,
-    relative_pose_error, OrbConfig, OrbDetector, OrbFeature, Pose2d,
+    ate_rmse, detect_blobs_into, estimate_rigid_motion, match_descriptors, mean_average_precision,
+    relative_pose_error, Blob, BlobScratch, OrbConfig, OrbDetector, OrbFeature, Pose2d,
 };
 
 /// A [`FrameSource`] that renders a dataset's frames in order.
@@ -110,6 +110,8 @@ pub type FramesEval = Vec<(Vec<(Rect, f64)>, Vec<Rect>)>;
 pub struct FaceTask<'a> {
     dataset: &'a FaceDataset,
     frame_area: u64,
+    scratch: BlobScratch,
+    blobs: Vec<Blob>,
     prev_boxes: Vec<Rect>,
     frames_eval: FramesEval,
 }
@@ -120,8 +122,11 @@ impl<'a> FaceTask<'a> {
         FaceTask {
             dataset,
             frame_area: u64::from(dataset.width()) * u64::from(dataset.height()),
+            scratch: BlobScratch::new(),
+            blobs: Vec::new(),
             prev_boxes: Vec::new(),
-            frames_eval: Vec::new(),
+            // One entry per dataset frame, so consuming never grows it.
+            frames_eval: Vec::with_capacity(dataset.len()),
         }
     }
 }
@@ -136,8 +141,16 @@ impl TaskStage for FaceTask<'_> {
         // dark eye/mouth pattern; blur or downscaling erases it, which
         // is the paper's FCL accuracy-loss mechanism.
         let frame_area = self.frame_area;
-        let detections: Vec<(Rect, f64)> = detect_blobs(&processed, 150, frame_area / 900)
-            .into_iter()
+        detect_blobs_into(
+            &mut self.scratch,
+            &processed,
+            150,
+            frame_area / 900,
+            &mut self.blobs,
+        );
+        let detections: Vec<(Rect, f64)> = self
+            .blobs
+            .iter()
             .filter(|b| {
                 let aspect = f64::from(b.bbox.h) / f64::from(b.bbox.w.max(1));
                 b.area < frame_area / 6
@@ -146,12 +159,13 @@ impl TaskStage for FaceTask<'_> {
             })
             .map(|b| (b.bbox, b.area as f64))
             .collect();
-        let gts = self.dataset.gt_bboxes(frame_idx as usize);
-        self.frames_eval.push((detections.clone(), gts));
 
-        let boxes: Vec<Rect> = detections.iter().map(|(r, _)| *r).collect();
-        let policy_detections = detection_displacements(&boxes, &self.prev_boxes, 8.0);
-        self.prev_boxes = boxes;
+        let boxes = detections.iter().map(|(r, _)| r);
+        let policy_detections = detection_displacements(boxes.clone(), &self.prev_boxes, 8.0);
+        self.prev_boxes.clear();
+        self.prev_boxes.extend(boxes.copied());
+        let gts = self.dataset.gt_bboxes(frame_idx as usize);
+        self.frames_eval.push((detections, gts));
         Feedback { features: Vec::new(), detections: policy_detections }
     }
 
@@ -167,6 +181,8 @@ impl TaskStage for FaceTask<'_> {
 pub struct PoseTask<'a> {
     dataset: &'a PoseDataset,
     min_area: u64,
+    scratch: BlobScratch,
+    blobs: Vec<Blob>,
     prev_boxes: Vec<Rect>,
     frames_eval: FramesEval,
 }
@@ -177,8 +193,11 @@ impl<'a> PoseTask<'a> {
         PoseTask {
             dataset,
             min_area: u64::from(dataset.width()) * u64::from(dataset.height()) / 600,
+            scratch: BlobScratch::new(),
+            blobs: Vec::new(),
             prev_boxes: Vec::new(),
-            frames_eval: Vec::new(),
+            // One entry per dataset frame, so consuming never grows it.
+            frames_eval: Vec::with_capacity(dataset.len()),
         }
     }
 }
@@ -194,25 +213,33 @@ impl TaskStage for PoseTask<'_> {
         // we gate on the fraction of near-full-brightness pixels in the
         // box (box-filter downscaling and blur wash these out, which is
         // how FCL loses accuracy in the paper).
-        let blobs = detect_blobs(&processed, 150, self.min_area.max(8));
-        let detections: Vec<(Rect, f64)> = blobs
+        detect_blobs_into(
+            &mut self.scratch,
+            &processed,
+            150,
+            self.min_area.max(8),
+            &mut self.blobs,
+        );
+        let detections: Vec<(Rect, f64)> = self
+            .blobs
             .first()
             .filter(|b| crisp_fraction(&processed, &b.bbox) >= 0.08)
             .map(|b| (b.bbox, b.area as f64))
             .into_iter()
             .collect();
-        let gts = vec![self.dataset.gt_bbox(frame_idx as usize)];
-        self.frames_eval.push((detections.clone(), gts));
 
-        let boxes: Vec<Rect> = detections.iter().map(|(r, _)| *r).collect();
+        let boxes = detections.iter().map(|(r, _)| r);
         // Articulated limbs move ~2x faster than the body centroid the
         // box tracker measures; scale the proxy so swinging wrists and
         // ankles are still sampled at an adequate temporal rate.
-        let policy_detections = detection_displacements(&boxes, &self.prev_boxes, 8.0)
+        let policy_detections = detection_displacements(boxes.clone(), &self.prev_boxes, 8.0)
             .into_iter()
             .map(|(r, d)| (r, d * 2.0))
             .collect();
-        self.prev_boxes = boxes;
+        self.prev_boxes.clear();
+        self.prev_boxes.extend(boxes.copied());
+        let gts = vec![self.dataset.gt_bbox(frame_idx as usize)];
+        self.frames_eval.push((detections, gts));
         Feedback { features: Vec::new(), detections: policy_detections }
     }
 

@@ -17,13 +17,13 @@ use rpr_frame::Rect;
 ///
 /// Detections without a previous counterpart get `default_displacement`
 /// (treat unknown motion as fast so new objects are sampled densely).
-pub(crate) fn detection_displacements(
-    current: &[Rect],
+pub(crate) fn detection_displacements<'a>(
+    current: impl IntoIterator<Item = &'a Rect>,
     previous: &[Rect],
     default_displacement: f64,
 ) -> Vec<(Rect, f64)> {
     current
-        .iter()
+        .into_iter()
         .map(|c| {
             let (cx, cy) = c.center();
             let nearest = previous

@@ -39,16 +39,15 @@ pub fn run_pose_with(dataset: &PoseDataset, cfg: PipelineConfig) -> PoseOutcome 
 }
 
 /// Fraction of pixels in `bbox` at near-full skeleton brightness
-/// (≥ 210 of the renderer's 230) — the limb-resolution proxy.
+/// (≥ 210 of the renderer's 230) — the limb-resolution proxy. Every
+/// pixel of the box counts, also those of another component inside it;
+/// the part of the box outside the frame counts as dark.
 pub(crate) fn crisp_fraction(frame: &rpr_frame::GrayFrame, bbox: &Rect) -> f64 {
-    let mut crisp = 0u64;
-    for y in bbox.y..bbox.bottom().min(frame.height()) {
-        for x in bbox.x..bbox.right().min(frame.width()) {
-            if frame.get(x, y).unwrap_or(0) >= 210 {
-                crisp += 1;
-            }
-        }
-    }
+    let x0 = bbox.x.min(frame.width()) as usize;
+    let x1 = bbox.right().min(frame.width()) as usize;
+    let crisp: usize = (bbox.y..bbox.bottom().min(frame.height()))
+        .map(|y| frame.row(y)[x0..x1].iter().filter(|&&v| v >= 210).count())
+        .sum();
     crisp as f64 / bbox.area().max(1) as f64
 }
 
@@ -76,6 +75,33 @@ mod tests {
             rp.measurements.traffic.write_bytes < fch.measurements.traffic.write_bytes
         );
         assert!(rp.map > fch.map * 0.6, "RP mAP {} vs FCH {}", rp.map, fch.map);
+    }
+
+    /// The box of the largest blob also holds a second component's
+    /// crisp pixels, and those count, as do the first blob's own.
+    #[test]
+    fn crisp_fraction_counts_every_pixel_in_the_box() {
+        let mut frame: rpr_frame::GrayFrame = rpr_frame::Plane::new(40, 30);
+        // An L-shaped blob whose box is 20x10; a separate 4x2 crisp
+        // patch sits in the L's empty corner.
+        frame.fill_rect(Rect::new(5, 5, 20, 2), 230);
+        frame.fill_rect(Rect::new(5, 7, 2, 8), 230);
+        frame.fill_rect(Rect::new(15, 10, 4, 2), 220);
+        // Bright pixels just below the crisp level do not count; a
+        // pixel at exactly 210 does.
+        frame.fill_rect(Rect::new(10, 12, 3, 1), 209);
+        frame.set(20, 13, 210);
+        let blobs = rpr_vision::detect_blobs(&frame, 150, 1);
+        assert_eq!(blobs.len(), 4);
+        let bbox = blobs[0].bbox;
+        assert_eq!(bbox, Rect::new(5, 5, 20, 10));
+        let want = (40.0 + 16.0 + 8.0 + 1.0) / 200.0;
+        assert_eq!(crisp_fraction(&frame, &bbox), want);
+        // A box hanging off the frame: the outside counts as dark.
+        let off = Rect::new(36, 26, 8, 8);
+        frame.fill_rect(Rect::new(36, 26, 4, 4), 255);
+        assert_eq!(crisp_fraction(&frame, &off), 16.0 / 64.0);
+        assert_eq!(crisp_fraction(&frame, &Rect::new(50, 50, 4, 4)), 0.0);
     }
 
     #[test]
