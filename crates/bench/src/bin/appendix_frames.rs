@@ -37,7 +37,7 @@ fn main() -> std::io::Result<()> {
         let raw = ds.frame(t);
         runtime.apply_policy(
             &mut policy,
-            PolicyContext { features: features.clone(), ..PolicyContext::default() },
+            &mut PolicyContext { features: features.clone(), ..PolicyContext::default() },
         );
         let encoded = runtime.encode_frame(&raw);
         let decoded = decoder.decode(&encoded);

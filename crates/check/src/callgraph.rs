@@ -14,7 +14,9 @@
 //! * `self.name(..)` → the enclosing impl type,
 //! * `…field.name(..)` → the union of declared types of any struct
 //!   field with that name (caller's file first, then workspace-wide),
-//! * `ident.name(..)` → the fn param or typed local of that name,
+//! * `ident.name(..)` → the fn param or typed local of that name, or,
+//!   for a binding of a struct pattern (`let Type { field, .. } = …`),
+//!   that field's declared types as for `…field.name(..)`,
 //! * `Type::name(..)` paths → that type's impls (aliases from `use`
 //!   rename resolution applied first).
 //!
@@ -298,6 +300,9 @@ fn receiver_evidence(
             if let Some((_, segs)) = caller.locals.iter().find(|(n, _)| n == x) {
                 return Some(segs.iter().cloned().collect());
             }
+            if let Some((_, field)) = caller.destructured.iter().find(|(n, _)| n == x) {
+                return receiver_evidence(ws, idx, fi, caller, &Receiver::Field(field.clone()));
+            }
             if x.chars().next().map(char::is_uppercase).unwrap_or(false) {
                 return Some(BTreeSet::from([x.clone()]));
             }
@@ -549,6 +554,27 @@ mod tests {
         ]);
         let g = Graph::build(&w);
         assert_eq!(edge_names(&g, "f"), vec!["new", "push"]);
+    }
+
+    #[test]
+    fn struct_pattern_bindings_take_their_field_types() {
+        // Without field evidence `counts.push` would fall back to the
+        // same-file `Streaming::push`, and `buffers.get` would find no
+        // cross-file edge at all.
+        let w = ws(&[
+            (
+                "enc.rs",
+                "pub struct Enc { counts: Vec<u32>, pool: Pool }\n\
+                 impl Enc { pub fn encode(&mut self) { \
+                 let Enc { counts, pool: buffers } = self; counts.push(1); buffers.get(); } }\n\
+                 pub struct Streaming; impl Streaming { pub fn push(&mut self, v: u8) {} }",
+            ),
+            ("pool.rs", "pub struct Pool; impl Pool { pub fn get(&self) {} }"),
+        ]);
+        let g = Graph::build(&w);
+        assert_eq!(edge_names(&g, "encode"), vec!["get"]);
+        let id = (0..g.fns.len()).find(|&i| g.model(i).name == "encode").unwrap();
+        assert_eq!(g.path_of(g.edges[id][0].to), "pool.rs");
     }
 
     #[test]

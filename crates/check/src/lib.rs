@@ -277,6 +277,8 @@ mod tests {
             "crates/core/src/kernels.rs::unpack_mask_row_scalar",
             "crates/core/src/kernels.rs::entry_word",
             "crates/vision/src/blob.rs::detect_blobs_into",
+            "crates/core/src/encoder.rs::RhythmicEncoder::encode",
+            "crates/core/src/decoder.rs::SoftwareDecoder::decode_owned",
         ]),
         ("lints.event_loop_blocking.entries", &[
             "crates/serve/src/server.rs::Server::step",

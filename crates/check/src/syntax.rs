@@ -158,6 +158,10 @@ pub struct FnModel {
     /// an explicit `let x: T = …` annotation or a constructor-path RHS
     /// (`let x = Type::new(…)` / `let x = Type { … }`).
     pub locals: Vec<(String, Vec<String>)>,
+    /// `(binding, field)` pairs bound by a struct-pattern `let`
+    /// (`let Type { a, b: c, .. } = …`): each binding has its field's
+    /// declared type, which phase 2 looks up like a `…field` receiver.
+    pub destructured: Vec<(String, String)>,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
     /// Panic/alloc/blocking sites in body order.
@@ -677,6 +681,7 @@ fn parse_fn(
         has_self,
         params,
         locals: Vec::new(),
+        destructured: Vec::new(),
         calls: Vec::new(),
         sites: Vec::new(),
         locks: Vec::new(),
@@ -865,8 +870,10 @@ fn held(holds: &[Hold]) -> Vec<usize> {
 /// Records a typed local from the `let` statement starting at `let_idx`
 /// when the type is syntactically visible: an explicit `let x: T = …`
 /// annotation, or a constructor path / struct literal on the RHS
-/// (`let x = Type::new(…)`, `let x = Type { … }`). Pattern bindings
-/// (`let (a, b) = …`, `let Some(x) = …`) record nothing.
+/// (`let x = Type::new(…)`, `let x = Type { … }`). A struct pattern
+/// (`let Type { a, b: c, .. } = …`) records its bindings in
+/// [`FnModel::destructured`]; other pattern bindings (`let (a, b) = …`,
+/// `let Some(x) = …`) record nothing.
 fn record_let(toks: &[Tok], let_idx: usize, end: usize, f: &mut FnModel) {
     let mut j = let_idx + 1;
     let mut binding: Option<String> = None;
@@ -877,6 +884,7 @@ fn record_let(toks: &[Tok], let_idx: usize, end: usize, f: &mut FnModel) {
                 // An UPPERCASE first ident is an enum/struct pattern
                 // (`let Some(x) = …`), not a binding.
                 if s.chars().next().map(char::is_uppercase).unwrap_or(false) {
+                    record_destructure(toks, j, end, f);
                     return;
                 }
                 binding = Some(s.clone());
@@ -947,6 +955,70 @@ fn record_let(toks: &[Tok], let_idx: usize, end: usize, f: &mut FnModel) {
             }
         }
         _ => {}
+    }
+}
+
+/// Records the `(binding, field)` pairs of the struct pattern whose
+/// type path starts at `j` (`Type { a, mut b, c: d, .. }`). A field
+/// bound to a nested pattern records nothing, and so does a
+/// tuple-struct or enum pattern (`Some(x)`).
+fn record_destructure(toks: &[Tok], mut j: usize, end: usize, f: &mut FnModel) {
+    let kind = |k: usize| toks.get(k).map(|t| &t.kind);
+    while let Some(TokKind::Ident(_)) = kind(j) {
+        j += 1;
+        if kind(j) != Some(&TokKind::Punct(':')) || kind(j + 1) != Some(&TokKind::Punct(':')) {
+            break;
+        }
+        j += 2;
+    }
+    if kind(j) != Some(&TokKind::Punct('{')) {
+        return;
+    }
+    // One field pattern per depth-0 comma-separated segment.
+    let mut segment: Vec<&TokKind> = Vec::new();
+    let mut depth = 0usize;
+    for k in toks.get(j + 1..end).unwrap_or(&[]).iter().map(|t| &t.kind) {
+        match k {
+            TokKind::Punct('{' | '(' | '[') => depth += 1,
+            TokKind::Punct('}') if depth == 0 => {
+                record_field_pattern(&segment, f);
+                return;
+            }
+            TokKind::Punct('}' | ')' | ']') => depth = depth.saturating_sub(1),
+            TokKind::Punct(',') if depth == 0 => {
+                record_field_pattern(&segment, f);
+                segment.clear();
+                continue;
+            }
+            _ => {}
+        }
+        segment.push(k);
+    }
+}
+
+/// One field of a struct pattern: `field`, `mut field`, `field: b` and
+/// `field: mut b` bind a plain ident; anything else binds nothing.
+fn record_field_pattern(segment: &[&TokKind], f: &mut FnModel) {
+    let (field, binding) = match segment.iter().position(|k| **k == TokKind::Punct(':')) {
+        None => (sole_ident(segment), sole_ident(segment)),
+        Some(c) => (sole_ident(&segment[..c]), sole_ident(&segment[c + 1..])),
+    };
+    let is_binding = |s: &String| s.starts_with(|c: char| c.is_lowercase() || c == '_');
+    if let (Some(field), Some(binding)) = (field, binding) {
+        if is_binding(&field) && is_binding(&binding) {
+            f.destructured.push((binding, field));
+        }
+    }
+}
+
+/// The one identifier left in `toks` after leading `ref`/`mut`, or
+/// `None` when anything else is there.
+fn sole_ident(toks: &[&TokKind]) -> Option<String> {
+    let mut rest =
+        toks.iter().skip_while(|k| matches!(k, TokKind::Ident(s) if s == "ref" || s == "mut"));
+    match (rest.next(), rest.next()) {
+        (Some(TokKind::Ident(s)), None) => Some(s.clone()),
+        _ => None,
     }
 }
 
@@ -1433,6 +1505,24 @@ mod tests {
         assert_eq!(get("e"), None);
         assert_eq!(get("g"), None);
         assert_eq!(get("i"), None);
+    }
+
+    #[test]
+    fn struct_pattern_bindings_are_recorded_with_their_fields() {
+        let src = r#"
+            fn f(&mut self) {
+                let Enc { width, mut pool, counts: rows, inner: Inner { x }, ref spans, .. } = self;
+                let Some(y) = opt else { return };
+            }
+        "#;
+        let m = model(src);
+        let f = find_fn(&m, "f");
+        let pairs: Vec<(&str, &str)> =
+            f.destructured.iter().map(|(b, fld)| (b.as_str(), fld.as_str())).collect();
+        assert_eq!(
+            pairs,
+            vec![("width", "width"), ("pool", "pool"), ("rows", "counts"), ("spans", "spans")]
+        );
     }
 
     #[test]

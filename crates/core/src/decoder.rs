@@ -68,12 +68,14 @@ impl FrameHistory {
     /// Pushes a newly encoded frame, evicting the oldest beyond
     /// [`HISTORY_DEPTH`].
     pub fn push(&mut self, frame: EncodedFrame) {
-        self.frames.push_front(frame);
-        while self.frames.len() > HISTORY_DEPTH {
+        // Evict first, so the ring never holds more than HISTORY_DEPTH.
+        while self.frames.len() >= HISTORY_DEPTH {
             if let (Some(old), Some(pool)) = (self.frames.pop_back(), &self.pool) {
                 old.recycle(pool);
             }
         }
+        // rpr-check: allow(hot-path-alloc): the ring is bounded at HISTORY_DEPTH, so it grows only until it first holds that many
+        self.frames.push_front(frame);
     }
 
     /// The most recent frame.
@@ -165,9 +167,9 @@ pub struct SoftwareDecoder {
     /// dismantled back into it. Share with the encoder via
     /// [`Self::with_pool`] to close the zero-alloc loop.
     pool: BufferPool,
-    /// Persistent chamfer-distance scratch rows (one frame's worth of
-    /// state, reset per decode) so steady-state decoding allocates
-    /// nothing.
+    /// Persistent chamfer-distance scratch rows, one row wide and
+    /// sized at construction (reset per decode), so decoding allocates
+    /// nothing but its output plane.
     prev_dist: Vec<u32>,
     cur_dist: Vec<u32>,
     /// All-zero stand-in for the row above row 0.
@@ -200,9 +202,9 @@ impl SoftwareDecoder {
             last_decoded: None,
             stats: DecoderStats::default(),
             pool,
-            prev_dist: Vec::new(),
-            cur_dist: Vec::new(),
-            zero_row: Vec::new(),
+            prev_dist: vec![u32::MAX; us(width)],
+            cur_dist: vec![u32::MAX; us(width)],
+            zero_row: vec![0; us(width)],
         }
     }
 
@@ -320,6 +322,7 @@ impl SoftwareDecoder {
             ReconstructionMode::BlockNearest => self.decode_block_nearest(&encoded),
             ReconstructionMode::FifoReplicate => self.decode_fifo(&encoded),
         };
+        // rpr-check: allow(hot-path-alloc): FrameHistory::push, not Vec::push; its ring is checked at its definition
         self.history.push(encoded);
         // Refresh the retained copy in place (a memcpy, not an alloc)
         // when one exists; geometry is fixed, so lengths always match.
@@ -360,11 +363,8 @@ impl SoftwareDecoder {
         let prev_plane: Option<&[u8]> = last_decoded.as_ref().map(|p| p.as_slice());
         // Distance (in chamfer steps) from each pixel of the previous row
         // to its data source; u32::MAX marks "no data".
-        prev_dist.clear();
-        prev_dist.resize(w, u32::MAX);
-        cur_dist.clear();
-        cur_dist.resize(w, u32::MAX);
-        zero_row.resize(w, 0);
+        prev_dist.fill(u32::MAX);
+        cur_dist.fill(u32::MAX);
         let mut status = [0u8; 32];
 
         for y in 0..height {
@@ -462,6 +462,7 @@ impl SoftwareDecoder {
             std::mem::swap(prev_dist, cur_dist);
         }
         Plane::from_vec(width, height, out_vec)
+            // rpr-check: allow(hot-path-alloc): never runs: out_vec holds exactly width * height bytes, so from_vec succeeds
             .unwrap_or_else(|_| Plane::new(width, height))
     }
 
@@ -531,6 +532,7 @@ impl SoftwareDecoder {
             stats.add_row(tally, prev_hist_row.is_some());
         }
         Plane::from_vec(width, height, out_vec)
+            // rpr-check: allow(hot-path-alloc): never runs: out_vec holds exactly width * height bytes, so from_vec succeeds
             .unwrap_or_else(|_| Plane::new(width, height))
     }
 

@@ -212,6 +212,7 @@ impl RoiSelector {
     pub fn advance_to_row<'a>(&'a mut self, regions: &RegionList, row: u32) -> &'a [usize] {
         let labels = regions.labels();
         while self.next < labels.len() && labels[self.next].y <= row {
+            // rpr-check: allow(hot-path-alloc): amortized: the selector keeps its capacity across frames, at most one entry per label
             self.active.push(self.next);
             self.next += 1;
         }
@@ -311,7 +312,9 @@ pub struct RhythmicEncoder {
     /// defaults to a private pool, share one via [`Self::with_pool`].
     pool: BufferPool,
     /// Persistent scratch reused across frames (zero-alloc steady
-    /// state; see `crates/core/src/pool.rs`).
+    /// state; see `crates/core/src/pool.rs`). `row_pri` is one row
+    /// wide and `row_counts` holds one entry per row, both sized at
+    /// construction.
     selector: RoiSelector,
     row_pri: Vec<u8>,
     row_counts: Vec<u32>,
@@ -357,8 +360,8 @@ impl RhythmicEncoder {
             stats: EncoderStats::default(),
             pool,
             selector: RoiSelector::new(),
-            row_pri: Vec::new(),
-            row_counts: Vec::new(),
+            row_pri: vec![0; width as usize],
+            row_counts: Vec::with_capacity(height as usize),
             label_px: Vec::new(),
             spans: Vec::new(),
         }
@@ -435,10 +438,15 @@ impl RhythmicEncoder {
         // payload is gathered in place and sealed without a new
         // ref-count block.
         let pixels = std::sync::Arc::make_mut(&mut payload);
+        // One reservation of the payload's upper bound (exact for
+        // regions that do not overlap) instead of growth row by row; a
+        // recycled payload already holds it once a region set this
+        // large has come round.
+        let bound = usize::try_from(regions.kept_pixel_upper_bound()).unwrap_or(usize::MAX);
+        // rpr-check: allow(hot-path-alloc): amortized into pooled payload capacity; grows only when the region set outgrows every earlier one
+        pixels.reserve(bound.min(pixels_total));
         row_counts.clear();
         selector.reset();
-        row_pri.clear();
-        row_pri.resize(w, 0);
         let labels = regions.labels();
         let all_regions = labels.len() as u64;
 
@@ -452,6 +460,7 @@ impl RhythmicEncoder {
         };
         label_px.clear();
         if tracing {
+            // rpr-check: allow(hot-path-alloc): tracing only; amortized, the scratch keeps its capacity across frames
             label_px.resize(labels.len(), 0);
         }
 
@@ -482,6 +491,7 @@ impl RhythmicEncoder {
                 stats.pixels_in += u64::from(width);
                 stats.status_counts[PixelStatus::NonRegional.bits() as usize] +=
                     u64::from(width);
+                // rpr-check: allow(hot-path-alloc): one entry per row, within the capacity reserved at construction
                 row_counts.push(0);
                 continue;
             }
@@ -507,6 +517,7 @@ impl RhythmicEncoder {
                 } else {
                     (PixelStatus::Strided, stride as usize)
                 };
+                // rpr-check: allow(hot-path-alloc): amortized: the scratch keeps its capacity across frames, at most one span per label
                 spans.push(RowSpan { x0, x_end, status, anchors, label: i });
             }
             spans.sort_unstable_by_key(|s| s.x0);
@@ -586,7 +597,6 @@ impl RhythmicEncoder {
 
                 counts = kernels::count_priorities(row_pri);
                 kernels::pack_priority_row(&mut mask_bytes, base, row_pri);
-                pixels.reserve(counts[3] as usize);
                 kernels::gather_regional(row_pri, src, pixels);
             }
             stats.status_counts[PixelStatus::NonRegional.bits() as usize] += counts[0];
@@ -594,6 +604,7 @@ impl RhythmicEncoder {
             stats.status_counts[PixelStatus::Strided.bits() as usize] += counts[2];
             stats.status_counts[PixelStatus::Regional.bits() as usize] += counts[3];
             stats.pixels_in += u64::from(width);
+            // rpr-check: allow(hot-path-alloc): one entry per row, within the capacity reserved at construction
             row_counts.push(u32::try_from(counts[3]).unwrap_or(u32::MAX));
         }
 
@@ -615,6 +626,7 @@ impl RhythmicEncoder {
         }
 
         let mask = EncMask::from_raw_bytes(width, height, mask_bytes)
+            // rpr-check: allow(hot-path-alloc): never runs: mask_bytes holds exactly width * height entries, so from_raw_bytes succeeds
             .unwrap_or_else(|| EncMask::new(width, height));
         let metadata = FrameMetadata {
             row_offsets: RowOffsets::from_row_counts_in(row_counts, pool.get_words()),

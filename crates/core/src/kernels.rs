@@ -372,6 +372,7 @@ pub fn gather_regional(row_pri: &[u8], src: &[u8], out: &mut Vec<u8>) -> usize {
         }
         let hi = x.min(src.len());
         if let Some(s) = src.get(start.min(hi)..hi) {
+            // rpr-check: allow(hot-path-alloc): amortized into pooled payload capacity; the encoder reserves the region set's upper bound, capped at the frame, before the row loop
             out.extend_from_slice(s);
             appended += s.len();
         }

@@ -36,11 +36,14 @@ impl RowOffsets {
     /// first), so a [`crate::BufferPool`] can recycle the allocation.
     pub fn from_row_counts_in(counts: &[u32], mut offsets: Vec<u32>) -> Self {
         offsets.clear();
+        // rpr-check: allow(hot-path-alloc): grows a fresh buffer once; a recycled one already holds rows + 1 words for its geometry
         offsets.reserve(counts.len() + 1);
         let mut acc = 0u32;
+        // rpr-check: allow(hot-path-alloc): fits the capacity reserved above
         offsets.push(0);
         for &c in counts {
             acc += c;
+            // rpr-check: allow(hot-path-alloc): fits the capacity reserved above
             offsets.push(acc);
         }
         RowOffsets { offsets }

@@ -118,6 +118,7 @@ impl BufferPool {
             }
             None => {
                 st.stats.misses += 1;
+                // rpr-check: allow(hot-path-alloc): pool miss, counted in PoolStats::misses; the steady state pops a recycled buffer
                 Vec::new()
             }
         }
@@ -126,6 +127,7 @@ impl BufferPool {
     /// A byte buffer of exactly `len` zero bytes.
     pub fn get_zeroed(&self, len: usize) -> Vec<u8> {
         let mut v = self.get_vec();
+        // rpr-check: allow(hot-path-alloc): regrows only a recycled buffer that last served a smaller request; none per frame on a shared encoder/decoder pool (alloc_discipline, alloc_budget), and a private decoder pool trades its plane's one allocation for this one
         v.resize(len, 0);
         v
     }
@@ -149,6 +151,7 @@ impl BufferPool {
         if v.len() > len {
             v.truncate(len);
         } else {
+            // rpr-check: allow(hot-path-alloc): a pool miss, or a recycled buffer that last served a smaller request; none per frame on a shared encoder/decoder pool (alloc_discipline, alloc_budget)
             v.resize(len, fill);
         }
         v
@@ -193,6 +196,7 @@ impl BufferPool {
             }
             None => {
                 st.stats.misses += 1;
+                // rpr-check: allow(hot-path-alloc): pool miss, counted in PoolStats::misses; the steady state pops a recycled buffer
                 Arc::new(Vec::new())
             }
         }
@@ -232,6 +236,7 @@ impl BufferPool {
             }
             None => {
                 st.stats.misses += 1;
+                // rpr-check: allow(hot-path-alloc): pool miss, counted in PoolStats::misses; the steady state pops a recycled buffer
                 Vec::new()
             }
         }

@@ -10,7 +10,8 @@
 //! service daemon has.
 
 use crate::{
-    EncodedFrame, Policy, PolicyContext, RegionLabel, RegionList, Result, RhythmicEncoder,
+    BufferPool, EncodedFrame, EncoderConfig, Policy, PolicyContext, RegionLabel, RegionList,
+    Result, RhythmicEncoder,
 };
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
@@ -120,10 +121,18 @@ impl RegionRuntime {
     /// Creates a runtime for `width x height` frames with no regions
     /// programmed (everything is discarded until labels are set).
     pub fn new(width: u32, height: u32) -> Self {
+        Self::with_pool(width, height, BufferPool::new())
+    }
+
+    /// [`RegionRuntime::new`] with an encoder drawing its per-frame
+    /// buffers from `pool` ([`RhythmicEncoder::with_pool`]). Give the
+    /// decoder the same pool ([`crate::SoftwareDecoder::with_pool`]) and
+    /// the frames its history evicts come back to the encoder.
+    pub fn with_pool(width: u32, height: u32, pool: BufferPool) -> Self {
         RegionRuntime {
             width,
             height,
-            encoder: RhythmicEncoder::new(width, height),
+            encoder: RhythmicEncoder::with_pool(width, height, EncoderConfig::default(), pool),
             regions: RegionList::empty(width, height),
             registers: RegisterFile::new(),
             frame_idx: 0,
@@ -152,14 +161,14 @@ impl RegionRuntime {
 
     /// Runs `policy` for the upcoming frame and programs its labels.
     /// Invalid labels from the policy are dropped rather than fatal.
-    pub fn apply_policy(&mut self, policy: &mut dyn Policy, ctx_extra: PolicyContext) {
-        let ctx = PolicyContext {
-            frame_idx: self.frame_idx,
-            width: self.width,
-            height: self.height,
-            ..ctx_extra
-        };
-        let list = policy.plan(&ctx);
+    /// The runtime stamps the frame index and geometry into `ctx`; its
+    /// features and detections are the caller's, so a caller can keep
+    /// one context across frames and refill it in place.
+    pub fn apply_policy(&mut self, policy: &mut dyn Policy, ctx: &mut PolicyContext) {
+        ctx.frame_idx = self.frame_idx;
+        ctx.width = self.width;
+        ctx.height = self.height;
+        let list = policy.plan(ctx);
         self.registers.load(&list);
         self.stats.label_updates += 1;
         self.stats.regions_submitted += list.len() as u64;
@@ -390,7 +399,7 @@ mod tests {
     fn apply_policy_programs_planned_labels() {
         use crate::FullFramePolicy;
         let mut rt = RegionRuntime::new(32, 32);
-        rt.apply_policy(&mut FullFramePolicy, PolicyContext::default());
+        rt.apply_policy(&mut FullFramePolicy, &mut PolicyContext::default());
         let encoded = rt.encode_frame(&frame());
         assert_eq!(encoded.pixel_count(), 32 * 32);
     }

@@ -124,3 +124,56 @@ fn steady_state_encode_decode_is_zero_alloc() {
     // The loop really did go through the pool, not around it.
     assert!(stats.gets > 0, "pool was never used: {stats:?}");
 }
+
+/// The `Pipeline` shape: encoder and decoder share one pool, but the
+/// decoded plane goes to the task and is dropped, never recycled. The
+/// buffers the history evicts still come back to the encoder, so
+/// encoding allocates nothing and each decode allocates exactly its
+/// output plane.
+#[test]
+fn dropped_output_planes_cost_one_allocation_per_decode_and_none_per_encode() {
+    let (w, h) = (64u32, 48u32);
+    let pool = BufferPool::new();
+    let regions = regions(w, h);
+    let mut enc = RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
+    let mut dec =
+        SoftwareDecoder::with_pool(w, h, ReconstructionMode::BlockNearest, pool.clone());
+    let frames: Vec<GrayFrame> = (0..4).map(|i| textured_frame(w, h, i)).collect();
+
+    let mut idx = 0u64;
+    // One frame through the pair, the plane dropped; returns the
+    // (encode, decode) allocation counts.
+    let mut step = || {
+        let frame = &frames[(idx % 4) as usize];
+        let a = ALLOC_CALLS.load(Ordering::Relaxed);
+        let encoded = enc.encode(frame, idx, &regions);
+        let b = ALLOC_CALLS.load(Ordering::Relaxed);
+        drop(dec.decode_owned(encoded));
+        let c = ALLOC_CALLS.load(Ordering::Relaxed);
+        idx += 1;
+        (b - a, c - b)
+    };
+    for _ in 0..16 {
+        step();
+    }
+
+    // As above: one clean 32-frame window in five.
+    let mut tally = (u64::MAX, u64::MAX);
+    for _ in 0..5 {
+        tally = (0, 0);
+        for _ in 0..32 {
+            let (e, d) = step();
+            tally = (tally.0 + e, tally.1 + d);
+        }
+        if tally == (0, 32) {
+            break;
+        }
+    }
+    assert_eq!(
+        tally,
+        (0, 32),
+        "(encode, decode) allocations over the last of five 32-frame windows; \
+         want none for encode and one output plane per decode (pool stats: {:?})",
+        pool.stats()
+    );
+}

@@ -112,9 +112,9 @@ proptest! {
             PredictivePolicy::new(Box::new(FeaturePolicy::new()), motion);
 
         for t in 0..frames {
-            let ctx = PolicyContext { features: features.clone(), ..PolicyContext::default() };
-            reactive_rt.apply_policy(&mut reactive, ctx.clone());
-            predictive_rt.apply_policy(&mut predictive, ctx);
+            let mut ctx = PolicyContext { features: features.clone(), ..PolicyContext::default() };
+            reactive_rt.apply_policy(&mut reactive, &mut ctx);
+            predictive_rt.apply_policy(&mut predictive, &mut ctx);
             let frame = textured(t as u32);
             let a = reactive_rt.encode_frame(&frame);
             let b = predictive_rt.encode_frame(&frame);

@@ -92,7 +92,7 @@ impl FrameSource for WireSource {
         }
         let entry = self.entries.get(self.cursor)?;
         self.cursor += 1;
-        match frame_chunk(&self.bytes, entry).and_then(|v| v.to_validated_frame()) {
+        match frame_chunk(&self.bytes, entry).and_then(|v| v.into_validated_frame()) {
             Ok(frame) => Some(frame),
             Err(e) => {
                 self.error = Some(e);
@@ -213,15 +213,18 @@ impl CaptureStage for DecodeCapture {
 pub struct EncodeCapture {
     runtime: RegionRuntime,
     policy: Box<dyn Policy + Send>,
-    width: u32,
-    height: u32,
-    frame_idx: u64,
+    /// The policy's input, refilled in place from each frame's feedback.
+    ctx: PolicyContext,
 }
 
 impl EncodeCapture {
     /// An encode stage for `width x height` frames driven by `policy`.
     pub fn new(width: u32, height: u32, policy: Box<dyn Policy + Send>) -> Self {
-        EncodeCapture { runtime: RegionRuntime::new(width, height), policy, width, height, frame_idx: 0 }
+        EncodeCapture {
+            runtime: RegionRuntime::new(width, height),
+            policy,
+            ctx: PolicyContext::default(),
+        }
     }
 }
 
@@ -231,20 +234,14 @@ impl CaptureStage for EncodeCapture {
     type Summary = ();
 
     fn process(&mut self, frame: GrayFrame, feedback: &Feedback, degraded: bool) -> EncodedFrame {
-        let (features, detections) = if degraded {
-            (Vec::new(), Vec::new())
+        if degraded {
+            self.ctx.features.clear();
+            self.ctx.detections.clear();
         } else {
-            (feedback.features.clone(), feedback.detections.clone())
-        };
-        let ctx = PolicyContext {
-            frame_idx: self.frame_idx,
-            width: self.width,
-            height: self.height,
-            features,
-            detections,
-        };
-        self.runtime.apply_policy(&mut *self.policy, ctx);
-        self.frame_idx += 1;
+            self.ctx.features.clone_from(&feedback.features);
+            self.ctx.detections.clone_from(&feedback.detections);
+        }
+        self.runtime.apply_policy(&mut *self.policy, &mut self.ctx);
         self.runtime.encode_frame(&frame)
     }
 

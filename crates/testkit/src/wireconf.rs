@@ -185,7 +185,7 @@ pub fn run_wire_case_in(seed: u64, discipline: PoolDiscipline) -> WireCaseReport
                 Err(e) => report.violations.push(format!(
                     "seed {seed} frame {idx} codec {codec_name}: encode refused a valid frame: {e}"
                 )),
-                Ok(_) => match EncodedFrameView::parse(&blob).and_then(|v| v.to_validated_frame())
+                Ok(_) => match EncodedFrameView::parse(&blob).and_then(|v| v.into_validated_frame())
                 {
                     Err(e) => report.violations.push(format!(
                         "seed {seed} frame {idx} codec {codec_name}: blob failed to parse back: {e}"

@@ -464,7 +464,7 @@ impl<'a> ContainerReader<'a> {
     /// Everything [`ContainerReader::view`] raises, plus
     /// [`WireError::CorruptFrame`] when the digest check fails.
     pub fn frame(&self, i: usize) -> Result<EncodedFrame> {
-        self.view(i)?.to_validated_frame()
+        self.view(i)?.into_validated_frame()
     }
 }
 

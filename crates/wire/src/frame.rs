@@ -392,13 +392,18 @@ impl<'a> EncodedFrameView<'a> {
     /// [`EncodedFrame::validate`] still detects content corruption
     /// that slipped past the structural parse.
     pub fn to_frame(&self) -> EncodedFrame {
-        let mask = EncMask::from_raw_bytes(self.width, self.height, self.mask.to_vec())
+        self.clone().into_frame()
+    }
+
+    /// [`EncodedFrameView::to_frame`] consuming the view: an inflated
+    /// (RLE-coded) mask and the parsed row-offset table move into the
+    /// frame; only a borrowed raw mask and the payload are copied.
+    fn into_frame(self) -> EncodedFrame {
+        let mask = EncMask::from_raw_bytes(self.width, self.height, self.mask.into_owned())
             // rpr-check: allow(panic-surface): parse_prefix checked the mask is exactly width*height 2-bit entries, so from_raw_bytes cannot fail on any view this crate constructs
             .expect("parse sized the mask to width x height");
-        let metadata = FrameMetadata {
-            row_offsets: RowOffsets::from_raw_offsets(self.row_offsets.clone()),
-            mask,
-        };
+        let metadata =
+            FrameMetadata { row_offsets: RowOffsets::from_raw_offsets(self.row_offsets), mask };
         EncodedFrame::from_raw_parts(
             self.width,
             self.height,
@@ -445,7 +450,18 @@ impl<'a> EncodedFrameView<'a> {
     ///
     /// [`WireError::CorruptFrame`] wrapping the validation failure.
     pub fn to_validated_frame(&self) -> Result<EncodedFrame> {
-        validated(self.to_frame())
+        self.clone().into_validated_frame()
+    }
+
+    /// [`EncodedFrameView::to_validated_frame`] consuming the view, so
+    /// the inflated mask and the offset table move into the frame
+    /// instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::CorruptFrame`] wrapping the validation failure.
+    pub fn into_validated_frame(self) -> Result<EncodedFrame> {
+        validated(self.into_frame())
     }
 
     /// [`EncodedFrameView::to_frame_in`] plus one full
@@ -566,6 +582,32 @@ mod tests {
             pooled.recycle(&pool);
         }
         assert!(pool.stats().puts > 0);
+    }
+
+    #[test]
+    fn consuming_promotion_moves_buffers_and_matches_copying_promotion() {
+        let frame = sample_frame(5);
+        for codec in [MaskCodec::Raw, MaskCodec::Rle] {
+            let (buf, _) = encode(&frame, codec);
+            let view = EncodedFrameView::parse(&buf).unwrap();
+            let copied = view.to_validated_frame().unwrap();
+            let (mask_ptr, offsets_ptr) = (view.mask_bytes().as_ptr(), view.row_offsets().as_ptr());
+            let borrowed = view.mask_is_borrowed();
+            let moved = view.into_validated_frame().unwrap();
+            assert_eq!(moved, copied, "{codec:?}");
+            assert_eq!(moved, frame, "{codec:?}");
+            assert!(moved.is_validated(), "{codec:?}: promotion carries the proof");
+            assert_eq!(moved.metadata().row_offsets.as_slice().as_ptr(), offsets_ptr);
+            // An inflated mask moves; a borrowed one is copied out.
+            assert_eq!(moved.metadata().mask.as_bytes().as_ptr() == mask_ptr, !borrowed);
+
+            // Content corruption past the structural parse (the payload
+            // is the blob's last field) is still refused.
+            let mut bad = buf.clone();
+            *bad.last_mut().unwrap() ^= 0xFF;
+            let view = EncodedFrameView::parse(&bad).unwrap();
+            assert!(matches!(view.into_validated_frame(), Err(WireError::CorruptFrame { .. })));
+        }
     }
 
     #[test]

@@ -271,7 +271,7 @@ impl StreamDecoder {
                         let frame = match EncodedFrameView::parse(payload).and_then(|v| {
                             match &self.pool {
                                 Some(pool) => v.to_validated_frame_in(pool),
-                                None => v.to_validated_frame(),
+                                None => v.into_validated_frame(),
                             }
                         }) {
                             Ok(f) => f,

@@ -5,12 +5,13 @@
 
 use crate::{Baseline, H264Model, RegionStats, RegionStatsCollector};
 use rpr_core::{
-    AdaptiveCyclePolicy, CycleLengthPolicy, EncodedFrame, EncoderStats, Feature, FeaturePolicy,
-    FeaturePolicyParams, KalmanPolicy, Policy, PolicyContext, RegionLabel, RegionList,
-    RegionRuntime, SoftwareDecoder,
+    AdaptiveCyclePolicy, BufferPool, CycleLengthPolicy, EncodedFrame, EncoderStats, Feature,
+    FeaturePolicy, FeaturePolicyParams, KalmanPolicy, Policy, PolicyContext, ReconstructionMode,
+    RegionLabel, RegionList, RegionRuntime, SoftwareDecoder,
 };
 use rpr_frame::{downscale_box, GrayFrame, PixelFormat, Plane, Rect};
 use rpr_memsim::{FramebufferPool, TrafficRecorder, TrafficSummary};
+use rpr_stream::Feedback;
 use rpr_vision::{kmeans, resize_bilinear};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -138,11 +139,16 @@ pub struct Pipeline {
     pool: FramebufferPool,
     h264: Option<H264Model>,
     policy: Box<dyn Policy + Send>,
+    /// The policy's input: the task's latest features and detections.
+    /// Kept across frames and refilled in place, so its vectors keep
+    /// their capacity.
+    ctx: PolicyContext,
     stats: RegionStatsCollector,
     fractions: Vec<f64>,
     frame_idx: u64,
     /// The two most recent decoded frames (newest last), kept for the
-    /// motion-vector and predictive policies.
+    /// motion-vector and predictive policies. Once both slots exist the
+    /// older one is overwritten in place each frame.
     decoded_history: Vec<GrayFrame>,
     /// The captured-region rectangles of the same two frames. Decoded
     /// pixels outside these rects are stale copies, so only blocks
@@ -201,13 +207,22 @@ impl Pipeline {
                 ))
             }
         };
+        // One buffer pool from encoder to decoder: the frames the
+        // decoder's history evicts come back to the encoder.
+        let buffers = BufferPool::new();
         Pipeline {
-            runtime: RegionRuntime::new(cfg.width, cfg.height),
-            decoder: SoftwareDecoder::new(cfg.width, cfg.height),
+            runtime: RegionRuntime::with_pool(cfg.width, cfg.height, buffers.clone()),
+            decoder: SoftwareDecoder::with_pool(
+                cfg.width,
+                cfg.height,
+                ReconstructionMode::BlockNearest,
+                buffers,
+            ),
             traffic: TrafficRecorder::new(cfg.fps),
             pool: FramebufferPool::new(window),
             h264,
             policy,
+            ctx: PolicyContext::default(),
             stats: RegionStatsCollector::new(cfg.fps),
             fractions: Vec::new(),
             frame_idx: 0,
@@ -275,6 +290,23 @@ impl Pipeline {
         features: Vec<Feature>,
         detections: Vec<(Rect, f64)>,
     ) -> GrayFrame {
+        self.ctx.features = features;
+        self.ctx.detections = detections;
+        self.capture(raw)
+    }
+
+    /// [`Self::process_frame`] reading the task's feedback by
+    /// reference: it is copied into the policy context the pipeline
+    /// keeps across frames, so planning allocates no feedback vectors
+    /// once their capacity has grown.
+    pub fn process_feedback(&mut self, raw: &GrayFrame, feedback: &Feedback) -> GrayFrame {
+        self.ctx.features.clone_from(&feedback.features);
+        self.ctx.detections.clone_from(&feedback.detections);
+        self.capture(raw)
+    }
+
+    /// The body of [`Self::process_frame`], planning from `self.ctx`.
+    fn capture(&mut self, raw: &GrayFrame) -> GrayFrame {
         let _span = rpr_trace::span(rpr_trace::names::PIPELINE_FRAME, "workloads")
             .with_frame(self.frame_idx);
         let bpp = self.cfg.format.bytes_per_pixel() as u64;
@@ -301,12 +333,11 @@ impl Pipeline {
                 resize_bilinear(&small, self.cfg.width, self.cfg.height)
             }
             Baseline::Rp { .. } => {
-                let mut detections = detections;
                 if let [prev, cur] = &self.decoded_history[..] {
                     match self.cfg.policy_kind {
                         PolicyKind::CycleMotion => {
                             let mvs = rpr_vision::estimate_block_motion(prev, cur, 16, 8);
-                            detections.extend(rpr_vision::moving_regions(&mvs, 1.5));
+                            self.ctx.detections.extend(rpr_vision::moving_regions(&mvs, 1.5));
                         }
                         PolicyKind::CyclePredictive => {
                             if let Some(motion) = &self.motion {
@@ -347,20 +378,12 @@ impl Pipeline {
                         _ => {}
                     }
                 }
-                let ctx = PolicyContext {
-                    frame_idx: self.frame_idx,
-                    width: self.cfg.width,
-                    height: self.cfg.height,
-                    features,
-                    detections,
-                };
-                self.runtime.apply_policy(&mut *self.policy, ctx);
+                self.runtime.apply_policy(&mut *self.policy, &mut self.ctx);
                 let planned = self.runtime.regions();
                 let is_full = planned.len() == 1
                     && planned.labels()[0]
                         == RegionLabel::full_frame(self.cfg.width, self.cfg.height);
                 self.stats.observe(planned, is_full);
-                let planned_rects: Vec<Rect> = planned.iter().map(|r| r.rect()).collect();
                 let encoded = self.runtime.encode_frame(raw);
                 if let Some(tap) = self.encoded_tap.as_mut() {
                     tap(&encoded);
@@ -371,14 +394,7 @@ impl Pipeline {
                 self.fractions.push(encoded.captured_fraction());
                 let decoded = self.decoder.decode_owned(encoded);
                 if self.uses_motion_history() {
-                    self.decoded_history.push(decoded.clone());
-                    if self.decoded_history.len() > 2 {
-                        self.decoded_history.remove(0);
-                    }
-                    self.captured_history.push(planned_rects);
-                    if self.captured_history.len() > 2 {
-                        self.captured_history.remove(0);
-                    }
+                    self.remember(&decoded);
                 }
                 decoded
             }
@@ -390,7 +406,8 @@ impl Pipeline {
                     self.fractions.push(1.0);
                     raw.clone()
                 } else {
-                    let boxes = self.cluster_rois(&features, &detections, max_regions);
+                    let boxes =
+                        self.cluster_rois(&self.ctx.features, &self.ctx.detections, max_regions);
                     let roi_bytes: u64 =
                         boxes.iter().map(|b| b.area() * bpp).sum();
                     self.traffic.record_raw_frame_read(roi_bytes);
@@ -428,6 +445,27 @@ impl Pipeline {
         };
         self.frame_idx += 1;
         out
+    }
+
+    /// Makes `decoded`, with the rects of the regions it was captured
+    /// under, the newest motion-history entry. The two slots form a
+    /// ring: once both exist the older is overwritten in place, so the
+    /// steady state copies a plane rather than allocating one.
+    fn remember(&mut self, decoded: &GrayFrame) {
+        let rects = self.runtime.regions().iter().map(|r| r.rect());
+        match (&mut self.decoded_history[..], &mut self.captured_history[..]) {
+            ([older, _], [older_rects, _]) => {
+                older.as_mut_slice().copy_from_slice(decoded.as_slice());
+                older_rects.clear();
+                older_rects.extend(rects);
+                self.decoded_history.swap(0, 1);
+                self.captured_history.swap(0, 1);
+            }
+            _ => {
+                self.decoded_history.push(decoded.clone());
+                self.captured_history.push(rects.collect());
+            }
+        }
     }
 
     /// Clusters the policy's would-be regions into at most

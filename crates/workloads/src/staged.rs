@@ -88,12 +88,11 @@ impl CaptureStage for PipelineCapture {
     type Summary = Measurements;
 
     fn process(&mut self, frame: GrayFrame, feedback: &Feedback, degraded: bool) -> GrayFrame {
-        let (features, detections) = if degraded {
-            (Vec::new(), Vec::new())
+        if degraded {
+            self.pipeline.process_feedback(&frame, &Feedback::empty())
         } else {
-            (feedback.features.clone(), feedback.detections.clone())
-        };
-        self.pipeline.process_frame(&frame, features, detections)
+            self.pipeline.process_feedback(&frame, feedback)
+        }
     }
 
     fn finish(self) -> Measurements {

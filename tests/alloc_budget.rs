@@ -1,0 +1,109 @@
+//! Allocation budget of the camera path, in tier-1.
+//!
+//! `Pipeline` builds its encoder and decoder on one `BufferPool`, so
+//! the frames the decoder's history evicts come back to the encoder,
+//! and it refills one policy context from the task's feedback instead
+//! of cloning it. This test runs a 256x192 pose sequence through
+//! `PipelineCapture` + `PoseTask` in the executor's loop shape and,
+//! after warm-up, holds a window of frames to at most 5 allocations a
+//! frame: the decoded plane the task takes, the policy's `RegionList`,
+//! and the task's three vectors (scored detections, ground truth and
+//! the feedback it hands on).
+//!
+//! It lives in its own test binary because the tallying allocator is
+//! process-wide: other tests' allocations would bleed into the tally.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use rhythmic_pixel_regions::frame::GrayFrame;
+use rhythmic_pixel_regions::stream::{CaptureStage, Feedback, TaskStage};
+use rhythmic_pixel_regions::workloads::datasets::VideoDataset;
+use rhythmic_pixel_regions::workloads::{
+    Baseline, PipelineCapture, PipelineConfig, PoseDataset, PoseTask,
+};
+
+/// Passes through to the system allocator, counting every allocation
+/// and reallocation (frees are not counted).
+struct TallyingAllocator;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+// rpr-check: allow(unsafe-block): implementing GlobalAlloc is inherently unsafe; this test-only shim adds a counter and delegates straight to System
+unsafe impl GlobalAlloc for TallyingAllocator {
+    // rpr-check: allow(unsafe-block): required signature of GlobalAlloc::alloc
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) } // rpr-check: allow(unsafe-block): forwards the caller's own safety contract to System
+    }
+
+    // rpr-check: allow(unsafe-block): required signature of GlobalAlloc::dealloc
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) } // rpr-check: allow(unsafe-block): forwards the caller's own safety contract to System
+    }
+
+    // rpr-check: allow(unsafe-block): required signature of GlobalAlloc::realloc
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) } // rpr-check: allow(unsafe-block): forwards the caller's own safety contract to System
+    }
+}
+
+#[global_allocator]
+static GLOBAL: TallyingAllocator = TallyingAllocator;
+
+const W: u32 = 256;
+const H: u32 = 192;
+/// Seventeen policy cycles (`Rp { cycle_length: 5 }`). The shared
+/// buffers settle within four; the rest runs the pipeline's per-frame
+/// measurement logs (captured fractions, traffic, footprint samples,
+/// region counts), which grow by doubling, past their 64-entry growth,
+/// so the first windows hold no amortized growth.
+const WARMUP: usize = 85;
+const WINDOW: usize = 20;
+const WINDOWS: usize = 5;
+/// Per frame: the decoded plane, the `RegionList`, and the task's
+/// scored detections, ground-truth boxes and feedback vector.
+const BUDGET_PER_FRAME: u64 = 5;
+
+#[test]
+fn pose_camera_path_stays_within_five_allocations_per_frame() {
+    let frames_total = WARMUP + WINDOW * WINDOWS;
+    let ds = PoseDataset::new(W, H, frames_total, 7);
+    // Rendered up front, so frame synthesis stays out of the tally.
+    let frames: Vec<GrayFrame> = (0..frames_total).map(|i| ds.frame(i)).collect();
+    let mut frames = frames.into_iter();
+    let cfg = PipelineConfig::new(W, H, Baseline::Rp { cycle_length: 5 });
+    let mut capture = PipelineCapture::new(cfg);
+    let mut task = PoseTask::new(&ds);
+    let mut feedback = Feedback::empty();
+    let mut idx = 0u64;
+    // The loop `run_sync` and each executor stream run.
+    let mut step = |n: usize| {
+        for frame in frames.by_ref().take(n) {
+            let out = capture.process(frame, &feedback, false);
+            feedback = task.consume(idx, out);
+            idx += 1;
+        }
+    };
+
+    step(WARMUP);
+    // The tally is process-wide, so the test harness can rarely add a
+    // stray allocation. A per-frame excess shows in every window; one
+    // clean window in five is required.
+    let mut windows = Vec::with_capacity(WINDOWS);
+    for _ in 0..WINDOWS {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        step(WINDOW);
+        let grew = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        windows.push(grew);
+        if grew <= BUDGET_PER_FRAME * WINDOW as u64 {
+            return;
+        }
+    }
+    panic!(
+        "the pose camera path allocated {windows:?} times in {WINDOWS} windows of {WINDOW} \
+         frames; the budget is {BUDGET_PER_FRAME} a frame ({} a window)",
+        BUDGET_PER_FRAME * WINDOW as u64
+    );
+}
