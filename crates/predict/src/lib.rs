@@ -26,12 +26,6 @@
 //!   labels before they reach the encoder, reading the latest motion
 //!   estimate from a [`SharedMotion`] handle the capture loop updates.
 //!
-//! For staged pipelines, [`MotionPredictor`] implements
-//! `rpr_stream::FeedbackTransform<GrayFrame>`: it block-matches
-//! consecutive decoded frames as they leave the capture stage and
-//! shifts the feedback detections/features so the capture→task
-//! feedback edge carries predicted labels.
-//!
 //! Identity contract: with zero estimated motion the projection is an
 //! exact no-op — predicted labels equal the reactive labels byte for
 //! byte (property-tested in `tests/properties.rs`).
@@ -70,10 +64,8 @@
 
 mod ego;
 mod policy;
-mod stage;
 mod tracker;
 
 pub use ego::{estimate_ego_motion, EgoEstimatorConfig, EgoMotion};
 pub use policy::{PredictionState, PredictivePolicy, SharedMotion};
-pub use stage::MotionPredictor;
 pub use tracker::{displacement_for_rect, predict_labels, shift_rect, TrackerConfig};

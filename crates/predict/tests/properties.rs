@@ -7,10 +7,9 @@ use proptest::prelude::*;
 use rpr_core::{Feature, FeaturePolicy, PolicyContext, RegionLabel, RegionRuntime};
 use rpr_frame::{GrayFrame, Plane, Rect};
 use rpr_predict::{
-    estimate_ego_motion, predict_labels, EgoEstimatorConfig, MotionPredictor, PredictivePolicy,
-    SharedMotion, TrackerConfig,
+    estimate_ego_motion, predict_labels, EgoEstimatorConfig, PredictivePolicy, SharedMotion,
+    TrackerConfig,
 };
-use rpr_stream::{Feedback, FeedbackTransform};
 use rpr_vision::MotionVector;
 
 const W: u32 = 128;
@@ -135,29 +134,4 @@ proptest! {
         let b = predict_labels(&labels, &field, &ego_b, W, H, &TrackerConfig::default());
         prop_assert_eq!(a, b);
     }
-}
-
-#[test]
-fn motion_predictor_is_deterministic_across_runs() {
-    let run = || {
-        let mut p = MotionPredictor::default();
-        let mut outputs = Vec::new();
-        for t in 0..6u32 {
-            // A diagonal pan at 3 px/frame over seeded texture.
-            let frame = Plane::from_fn(W, H, |x, y| {
-                let sx = x.wrapping_add(t * 3);
-                let sy = y.wrapping_add(t * 3);
-                (sx.wrapping_mul(41) ^ sy.wrapping_mul(13)) as u8
-            });
-            p.observe(&frame);
-            let fb = Feedback {
-                features: vec![Feature::new(60.0, 50.0, 10.0)],
-                detections: vec![(Rect::new(30, 30, 24, 24), 1.0)],
-            };
-            let out = p.transform(fb);
-            outputs.push((out.detections.clone(), out.features.clone()));
-        }
-        outputs
-    };
-    assert_eq!(run(), run());
 }

@@ -46,9 +46,6 @@ pub use executor::{run_stream, run_sync, StreamResult};
 pub use manager::{StreamManager, StreamPool, StreamSpec};
 pub use queue::{BackpressureMode, QueueTelemetry, StageQueue, TryPush};
 pub use source::{channel_source, ChannelSource, SourceHandle};
-pub use stage::{
-    CaptureStage, Feedback, FeedbackTransform, FrameSource, StreamConfig, TaskStage,
-    TransformedCapture,
-};
+pub use stage::{CaptureStage, Feedback, FrameSource, StreamConfig, TaskStage};
 pub use wire::{DecodeCapture, DecodeSummary, EncodeCapture, WireSink, WireSource};
 pub use telemetry::{LatencyHistogram, StageTelemetry, StreamTelemetry, LATENCY_BUCKETS_US};

@@ -92,67 +92,6 @@ pub trait TaskStage: Send {
     fn finish(self) -> Self::Output;
 }
 
-/// A stateful rewrite of the task→capture feedback edge.
-///
-/// This is the hook the prediction subsystem (`rpr-predict`) plugs
-/// into: the transform observes every processed frame the capture
-/// stage emits and rewrites the *next* feedback before the capture
-/// stage's region policy sees it — e.g. forward-projecting t−1
-/// detections by estimated camera motion so the labels land where the
-/// objects will be at frame t. The transform runs inside the capture
-/// stage, so it keeps the lock-step determinism contract: same
-/// frames + same feedback in ⇒ same rewritten feedback out.
-pub trait FeedbackTransform<Out>: Send {
-    /// Observes one processed frame as it leaves the capture stage.
-    fn observe(&mut self, output: &Out);
-
-    /// Rewrites the feedback for the frame about to be captured.
-    fn transform(&mut self, feedback: Feedback) -> Feedback;
-}
-
-/// A [`CaptureStage`] adapter that routes the feedback edge through a
-/// [`FeedbackTransform`] before the inner stage sees it.
-#[derive(Debug)]
-pub struct TransformedCapture<C, T> {
-    inner: C,
-    transform: T,
-}
-
-impl<C, T> TransformedCapture<C, T> {
-    /// Wraps `inner` so that every feedback passes through `transform`
-    /// and every output is observed by it.
-    pub fn new(inner: C, transform: T) -> Self {
-        TransformedCapture { inner, transform }
-    }
-
-    /// The wrapped stage and transform.
-    pub fn into_parts(self) -> (C, T) {
-        (self.inner, self.transform)
-    }
-}
-
-impl<C, T> CaptureStage for TransformedCapture<C, T>
-where
-    C: CaptureStage,
-    T: FeedbackTransform<C::Output>,
-{
-    type Frame = C::Frame;
-    type Output = C::Output;
-    type Summary = C::Summary;
-
-    fn process(&mut self, frame: Self::Frame, feedback: &Feedback, degraded: bool)
-        -> Self::Output {
-        let rewritten = self.transform.transform(feedback.clone());
-        let output = self.inner.process(frame, &rewritten, degraded);
-        self.transform.observe(&output);
-        output
-    }
-
-    fn finish(self) -> Self::Summary {
-        self.inner.finish()
-    }
-}
-
 /// Queue sizing and backpressure configuration of one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
@@ -196,65 +135,5 @@ impl StreamConfig {
     pub fn with_trace_ctx(mut self, ctx: rpr_trace::FrameCtx) -> Self {
         self.trace_ctx = Some(ctx);
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Echoes frames and records the feedback it was handed.
-    struct EchoCapture {
-        seen: Vec<usize>,
-    }
-
-    impl CaptureStage for EchoCapture {
-        type Frame = u64;
-        type Output = u64;
-        type Summary = Vec<usize>;
-
-        fn process(&mut self, frame: u64, feedback: &Feedback, _degraded: bool) -> u64 {
-            self.seen.push(feedback.detections.len());
-            frame
-        }
-
-        fn finish(self) -> Vec<usize> {
-            self.seen
-        }
-    }
-
-    /// Appends one synthetic detection per observed frame.
-    struct CountingTransform {
-        observed: usize,
-    }
-
-    impl FeedbackTransform<u64> for CountingTransform {
-        fn observe(&mut self, _output: &u64) {
-            self.observed += 1;
-        }
-
-        fn transform(&mut self, mut feedback: Feedback) -> Feedback {
-            for _ in 0..self.observed {
-                feedback.detections.push((Rect::new(0, 0, 1, 1), 0.0));
-            }
-            feedback
-        }
-    }
-
-    #[test]
-    fn transform_rewrites_feedback_and_observes_outputs() {
-        let mut stage = TransformedCapture::new(
-            EchoCapture { seen: Vec::new() },
-            CountingTransform { observed: 0 },
-        );
-        for t in 0..4 {
-            let out = stage.process(t, &Feedback::empty(), false);
-            assert_eq!(out, t);
-        }
-        let (inner, transform) = stage.into_parts();
-        // Frame t sees one synthetic detection per previously observed
-        // frame: 0, 1, 2, 3.
-        assert_eq!(inner.finish(), vec![0, 1, 2, 3]);
-        assert_eq!(transform.observed, 4);
     }
 }

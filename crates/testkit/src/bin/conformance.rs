@@ -1,36 +1,27 @@
-//! The conformance gate CI runs: two fixed seed corpora — the
-//! encode→DRAM→decode harness and the `.rpr` container harness —
-//! emitted as one combined JSON report on stdout, non-zero exit on any
-//! violation in either.
+//! The conformance gate CI runs: every fault corpus over one fixed
+//! seed range — encode→DRAM→decode and `.rpr` container, each over a
+//! plain and a poisoned buffer pool, then prediction and live metrics
+//! — emitted as one JSON report on stdout, non-zero exit on any
+//! violation in any run.
 //!
 //! Usage: `conformance [base_seed] [n_cases]` — defaults reproduce the
-//! CI corpora exactly (both corpora share the seed range so one seed
-//! reproduces both halves of a case). Rerun a single failing seed with
-//! `conformance <seed> 1`.
+//! CI corpora exactly (every run shares the seed range, so one seed
+//! reproduces its case in all of them). Rerun a single failing seed
+//! with `conformance <seed> 1`.
 
-use serde::Serialize;
+use rpr_testkit::{
+    run_adversary, Adversary, Container, EncodeDecode, Metrics, PoolDiscipline, Prediction,
+    POISON_SENTINEL,
+};
+use serde_json::Value;
 use std::env;
 use std::process::ExitCode;
 
 /// Base seed of the CI corpus. Fixed so every CI run and every local
 /// repro sees the same cases; see TESTING.md before changing it.
 const DEFAULT_BASE_SEED: u64 = 0x5252_2021; // "RR 2021"
-/// Number of cases in the CI corpus.
+/// Number of seeds in the CI corpus.
 const DEFAULT_CASES: u64 = 2000;
-
-/// The combined report CI archives: both corpora, each run twice —
-/// once with a plain recycling pool and once under the buffer-reuse
-/// adversary (every returned buffer filled with the poison sentinel),
-/// proving no kernel reads stale pool memory.
-#[derive(Serialize)]
-struct CombinedReport {
-    encode_decode: rpr_testkit::CorpusReport,
-    container: rpr_testkit::WireCorpusReport,
-    encode_decode_poisoned: rpr_testkit::CorpusReport,
-    container_poisoned: rpr_testkit::WireCorpusReport,
-    prediction: rpr_testkit::PredictCorpusReport,
-    metrics: rpr_testkit::MetricsCorpusReport,
-}
 
 fn main() -> ExitCode {
     let mut args = env::args().skip(1);
@@ -49,82 +40,55 @@ fn main() -> ExitCode {
         None => DEFAULT_CASES,
     };
 
-    let poison = rpr_testkit::PoolDiscipline::Poisoned(rpr_testkit::POISON_SENTINEL);
-    let report = CombinedReport {
-        encode_decode: rpr_testkit::run_corpus(base_seed, n_cases),
-        container: rpr_testkit::run_wire_corpus(base_seed, n_cases),
-        encode_decode_poisoned: rpr_testkit::run_corpus_in(base_seed, n_cases, poison),
-        container_poisoned: rpr_testkit::run_wire_corpus_in(base_seed, n_cases, poison),
-        prediction: rpr_testkit::run_predict_corpus(base_seed, n_cases),
-        metrics: rpr_testkit::run_metrics_corpus(base_seed, n_cases),
-    };
-    match serde_json::to_string_pretty(&report) {
+    // The poisoned runs are the buffer-reuse adversary: every returned
+    // buffer is filled with the sentinel, so a kernel reading stale
+    // pool memory diverges from the pool-free reference.
+    let poison = PoolDiscipline::Poisoned(POISON_SENTINEL);
+    let adversaries: [&dyn Adversary; 6] = [
+        &EncodeDecode { pool: PoolDiscipline::Fresh },
+        &Container { pool: PoolDiscipline::Fresh },
+        &EncodeDecode { pool: poison },
+        &Container { pool: poison },
+        &Prediction,
+        &Metrics,
+    ];
+    let runs: Vec<_> = adversaries
+        .iter()
+        .map(|a| (a.name(), run_adversary(*a, base_seed, n_cases)))
+        .collect();
+
+    let json = Value::Map(
+        runs.iter()
+            .map(|(name, report)| (name.to_string(), serde_json::json!(report)))
+            .collect(),
+    );
+    match serde_json::to_string_pretty(&json) {
         Ok(json) => println!("{json}"),
         Err(e) => eprintln!("report serialization failed: {e:?}"),
     }
 
-    let ed = &report.encode_decode;
-    let ct = &report.container;
-    let edp = &report.encode_decode_poisoned;
-    let ctp = &report.container_poisoned;
-    let pr = &report.prediction;
-    let mt = &report.metrics;
-    if ed.passed() && ct.passed() && edp.passed() && ctp.passed() && pr.passed() && mt.passed() {
+    let mut failing = 0;
+    for (name, r) in &runs {
+        let counters: Vec<String> = r.counters.iter().map(|(k, v)| format!("{k} {v}")).collect();
         eprintln!(
-            "conformance: {} cases passed ({} clean frames, {} faults detected, {} harmless, {} skipped)",
-            ed.cases, ed.clean_frames_ok, ed.faults_detected, ed.faults_harmless, ed.faults_skipped,
+            "{name}: {} of {} cases passed ({} detected, {} harmless, {} skipped; {})",
+            r.cases_passed,
+            r.cases,
+            r.faults_detected,
+            r.faults_harmless,
+            r.faults_skipped,
+            counters.join(", "),
         );
-        eprintln!(
-            "wire conformance: {} cases passed ({} frames round-tripped, {} blob round-trips, {} faults detected, {} harmless, {} skipped)",
-            ct.cases,
-            ct.container_frames_ok,
-            ct.blob_roundtrips,
-            ct.faults_detected,
-            ct.faults_harmless,
-            ct.faults_skipped,
-        );
-        eprintln!(
-            "poisoned-pool adversary: {} + {} cases passed with zero divergences",
-            edp.cases, ctp.cases,
-        );
-        eprintln!(
-            "prediction adversary: {} cases passed ({} identity degradations, {} projections)",
-            pr.cases, pr.identity_degradations, pr.labels_projected,
-        );
-        eprintln!(
-            "metrics adversary: {} cases passed ({} samples, {} live reads)",
-            mt.cases, mt.samples_recorded, mt.reads_taken,
-        );
+        for seed in &r.failing_seeds {
+            eprintln!("  failing seed ({name}): {seed}");
+        }
+        failing += r.failing_seeds.len();
+    }
+    if failing == 0 {
         ExitCode::SUCCESS
     } else {
-        let failing = ed.failing_seeds.len()
-            + ct.failing_seeds.len()
-            + edp.failing_seeds.len()
-            + ctp.failing_seeds.len()
-            + pr.failing_seeds.len()
-            + mt.failing_seeds.len();
-        eprintln!(
-            "conformance: {failing} of {} case runs FAILED; reproduce with `cargo run --release -p rpr-testkit --bin conformance -- <seed> 1`",
-            ed.cases + ct.cases + edp.cases + ctp.cases + pr.cases + mt.cases,
-        );
-        for seed in &ed.failing_seeds {
-            eprintln!("  failing seed (encode-decode): {seed}");
-        }
-        for seed in &ct.failing_seeds {
-            eprintln!("  failing seed (container): {seed}");
-        }
-        for seed in &edp.failing_seeds {
-            eprintln!("  failing seed (encode-decode, poisoned pool): {seed}");
-        }
-        for seed in &ctp.failing_seeds {
-            eprintln!("  failing seed (container, poisoned pool): {seed}");
-        }
-        for seed in &pr.failing_seeds {
-            eprintln!("  failing seed (prediction): {seed}");
-        }
-        for seed in &mt.failing_seeds {
-            eprintln!("  failing seed (metrics): {seed}");
-        }
+        eprintln!("conformance: {failing} failing seed runs; reproduce one with");
+        eprintln!("  cargo run --release -p rpr-testkit --bin conformance -- <seed> 1");
         ExitCode::FAILURE
     }
 }

@@ -4,57 +4,46 @@
 //! The paper's hardware contract is sharp: the encoded representation
 //! stores every `R` pixel exactly, the metadata is sufficient to decode
 //! it, and anything else is reconstruction policy. This crate turns
-//! that contract into an executable oracle with three layers:
+//! that contract into an executable oracle in three parts:
 //!
 //! * **Generators** ([`gen_frame`], [`gen_region`],
 //!   [`gen_capture_sequence`], …) — seeded, dependency-free producers
 //!   of frames, overlapping/degenerate/frame-spanning region labels,
 //!   policies, and whole capture sequences. One `u64` seed reproduces
 //!   any case bit-for-bit.
-//! * **Fault injectors** ([`FaultKind`], [`LossyDram`]) — typed
-//!   corruption models over [`rpr_core::EncodedFrame`]: payload bit
-//!   rot, torn offset tables, mask/payload disagreement, stale frame
-//!   indices, geometry mismatches, and a lossy-DRAM wrapper charging
-//!   the real memsim models.
-//! * **Conformance** ([`ReferenceDecoder`], [`run_case`],
-//!   [`run_corpus`]) — a naive per-pixel reference decoder checked
-//!   byte-for-byte against both production
-//!   [`rpr_core::ReconstructionMode`]s, plus the invariant checker:
-//!   every injected fault is *detected* or *harmless*, never a panic
-//!   and never silently wrong pixels.
-//! * **Prediction adversaries** ([`PredictFaultKind`],
-//!   [`run_predict_corpus`]) — hostile motion-vector fields
-//!   (all-outlier chaos, flat-block zero ties, degenerate geometry,
-//!   `i32`-extreme displacements) checked against the prediction
-//!   contract: finite fits, in-bounds projected labels, a
-//!   never-growing pixel budget, and exact no-ops on zero fields.
-//! * **Session faults** ([`SessionFaultKind`]) — one layer further
-//!   out: typed corruption of the byte scripts cameras send an
-//!   `rpr-serve` server (torn hellos, forged message framing,
-//!   truncated final chunks), for exercising admission and
-//!   end-of-stream judgment.
-//! * **Live-telemetry adversaries** ([`MetricsFaultKind`],
-//!   [`run_metrics_corpus`]) — hostile schedules against the live
-//!   metrics plane: scrapes racing window rotations, snapshots torn
-//!   across mid-flight writers, and SLO trackers fed skewed clocks.
-//!   Snapshots must stay internally consistent and monotonic, rotations
-//!   must conserve every sample, and burn-rate arithmetic must stay
-//!   finite under any clock.
-//! * **Wire conformance** ([`WireFaultKind`], [`run_wire_case`],
-//!   [`run_wire_corpus`]) — the same discipline one layer down, over
-//!   serialized `.rpr` container *bytes*: byte-identical round-trips
-//!   through `rpr-wire`, scan recovery of unfinished files, and typed
-//!   container faults (truncation, CRC rot, forged checksums, stale
-//!   index entries) that must never panic the parser.
+//! * **Typed faults** — each a small enum with a stable name per kind
+//!   and an `inject`: [`FaultKind`] (payload bit rot, torn offset
+//!   tables, mask/payload disagreement, stale frame indices, geometry
+//!   mismatches over [`rpr_core::EncodedFrame`]) plus [`LossyDram`]
+//!   over the real memsim models; [`WireFaultKind`] (truncation, CRC
+//!   rot, forged checksums, stale index entries over `.rpr` container
+//!   bytes); [`PredictFaultKind`] (all-outlier, zero-tie, degenerate
+//!   and `i32`-extreme motion-vector fields); [`MetricsFaultKind`]
+//!   (scrapes racing window rotations, torn snapshots, SLO clock
+//!   skew); and [`SessionFaultKind`] (torn hellos, forged framing and
+//!   truncated chunks in the byte scripts cameras send `rpr-serve`).
+//! * **Adversaries** — one [`Adversary`] per corpus, all driven by
+//!   [`run_adversary`] into one [`CorpusReport`]: every injected fault
+//!   is *detected* (typed error) or *harmless* (the output still meets
+//!   the contract), never a panic and never silently wrong output.
+//!   [`EncodeDecode`] checks the production decoders byte-for-byte
+//!   against the naive [`ReferenceDecoder`] in both
+//!   [`rpr_core::ReconstructionMode`]s; [`Container`] holds `rpr-wire`
+//!   to byte-identical round-trips and scan recovery; both also run
+//!   over a poisoned [`PoolDiscipline`]. [`Prediction`] checks finite
+//!   fits, in-bounds projections and a never-growing pixel budget;
+//!   [`Metrics`] checks that live snapshots stay consistent and
+//!   monotonic and that burn-rate arithmetic stays finite.
 //!
-//! The `conformance` binary runs both fixed seed corpora and emits a
-//! combined JSON report; CI gates on its exit status. The `wire_fuzz`
-//! binary adds a bounded random-mutation sweep over container bytes.
-//! See `TESTING.md` at the repo root for the seed-corpus conventions
-//! and how to reproduce a failing seed.
+//! The `conformance` binary runs the six corpus runs over one seed
+//! range and emits one JSON report; CI gates on its exit status. The
+//! `wire_fuzz` binary adds a bounded random-mutation sweep over
+//! container bytes. See `TESTING.md` at the repo root for the
+//! seed-corpus conventions and how to reproduce a failing seed.
 
 #![deny(missing_docs)]
 
+mod adversary;
 mod conformance;
 mod fault;
 mod gen;
@@ -67,27 +56,20 @@ mod servefault;
 mod wireconf;
 mod wirefault;
 
-pub use conformance::{
-    run_case, run_case_in, run_corpus, run_corpus_in, CaseReport, CorpusReport, PoolDiscipline,
-    POISON_SENTINEL,
+pub use adversary::{
+    run_adversary, Adversary, CorpusReport, PoolDiscipline, Tally, POISON_SENTINEL,
 };
+pub use conformance::EncodeDecode;
 pub use fault::{FaultKind, ALL_FAULTS};
 pub use gen::{
     gen_capture_sequence, gen_frame, gen_frame_with, gen_policy, gen_region,
     gen_region_list, CaptureSequence, FramePattern,
 };
 pub use lossy::{LossyDram, ReadOutcome};
-pub use metricsfault::{
-    run_metrics_corpus, MetricsCorpusReport, MetricsFaultKind, ALL_METRICS_FAULTS,
-};
-pub use predictfault::{
-    run_predict_corpus, PredictCorpusReport, PredictFaultKind, ALL_PREDICT_FAULTS,
-};
+pub use metricsfault::{Metrics, MetricsFaultKind, ALL_METRICS_FAULTS};
+pub use predictfault::{Prediction, PredictFaultKind, ALL_PREDICT_FAULTS};
 pub use reference::ReferenceDecoder;
 pub use rng::TestRng;
 pub use servefault::{SessionFaultKind, ALL_SESSION_FAULTS};
-pub use wireconf::{
-    run_wire_case, run_wire_case_in, run_wire_corpus, run_wire_corpus_in, WireCaseReport,
-    WireCorpusReport,
-};
+pub use wireconf::Container;
 pub use wirefault::{WireFaultKind, ALL_WIRE_FAULTS};

@@ -11,13 +11,11 @@
 //! every sample across rotations, and finite, saturating burn-rate
 //! arithmetic no matter how the clock misbehaves.
 //!
-//! [`run_metrics_corpus`] runs the fixed seed corpus the `conformance`
-//! binary gates CI on.
+//! The [`Metrics`] adversary runs every kind for every seed.
 
-use crate::TestRng;
+use crate::{Adversary, Tally, TestRng};
 use rpr_serve::{Clock, ManualClock};
 use rpr_trace::{LatencyHistogram, LiveCounter, LiveHistogram, SloConfig, SloTracker};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Every live-telemetry adversary class the harness can run.
@@ -59,25 +57,35 @@ impl MetricsFaultKind {
     }
 }
 
-/// Outcome of a live-telemetry adversary seed corpus.
-#[derive(Debug, Clone, Serialize)]
-pub struct MetricsCorpusReport {
-    /// Cases run (seeds × fault kinds).
-    pub cases: u64,
-    /// Samples recorded across all cases.
-    pub samples_recorded: u64,
-    /// Mid-flight snapshots/rotations taken across all cases.
-    pub reads_taken: u64,
-    /// Invariant violations — must be zero for the gate to pass.
-    pub violations: u64,
-    /// Seeds of violating cases, for reproduction.
-    pub failing_seeds: Vec<u64>,
-}
+/// The live-telemetry corpus: one case per (seed,
+/// [`MetricsFaultKind`]). A case whose invariants all hold counts as
+/// harmless.
+///
+/// Counters: `samples_recorded` (samples fed across all cases) and
+/// `reads_taken` (mid-flight snapshots, rotations and SLO reads).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Metrics;
 
-impl MetricsCorpusReport {
-    /// Whether the corpus met the contract.
-    pub fn passed(&self) -> bool {
-        self.violations == 0
+impl Adversary for Metrics {
+    fn name(&self) -> &'static str {
+        "metrics"
+    }
+
+    fn kinds(&self) -> Vec<&'static str> {
+        ALL_METRICS_FAULTS.iter().map(|k| k.name()).collect()
+    }
+
+    fn run_seed(&self, seed: u64, tally: &mut Tally<'_>) {
+        for kind in ALL_METRICS_FAULTS {
+            tally.case(|t| {
+                let mut rng = TestRng::new(seed ^ 0x4d45_5452); // "METR" domain split
+                match kind {
+                    MetricsFaultKind::ScrapeDuringRotation => scrape_during_rotation(&mut rng, t),
+                    MetricsFaultKind::TornSnapshot => torn_snapshot(&mut rng, t),
+                    MetricsFaultKind::SloClockSkew => slo_clock_skew(&mut rng, t),
+                }
+            });
+        }
     }
 }
 
@@ -93,7 +101,8 @@ fn internally_consistent(snap: &LatencyHistogram) -> bool {
 }
 
 /// Writers race a rotating consumer; mass must be conserved.
-fn scrape_during_rotation(rng: &mut TestRng, report: &mut MetricsCorpusReport) -> bool {
+fn scrape_during_rotation(rng: &mut TestRng, t: &mut Tally<'_>) {
+    let kind = MetricsFaultKind::ScrapeDuringRotation.name();
     let samples = workload(rng);
     let rotations = rng.range_usize(1, 16);
     let hist = Arc::new(LiveHistogram::new());
@@ -117,26 +126,42 @@ fn scrape_during_rotation(rng: &mut TestRng, report: &mut MetricsCorpusReport) -
         let w = hist.rotate();
         windows_ok &= internally_consistent(&w);
         windows.merge(&w);
-        report.reads_taken += 1;
+        t.count("reads_taken", 1);
     }
-    for h in writers {
-        if h.join().is_err() {
-            return false;
-        }
+    if !join_all(writers, kind, t) {
+        return;
     }
     windows.merge(&hist.snapshot());
-    report.samples_recorded += samples.len() as u64;
+    t.count("samples_recorded", samples.len() as u64);
 
     let expected_ns: u64 = samples.iter().map(|us| us * 1_000).sum();
-    windows_ok
-        && windows.count == samples.len() as u64
-        && windows.sum_ns == expected_ns
-        && internally_consistent(&windows)
+    t.invariants(
+        kind,
+        &[
+            (windows_ok, "a rotated window is inconsistent"),
+            (windows.count == samples.len() as u64, "rotations lost or duplicated samples"),
+            (windows.sum_ns == expected_ns, "rotations did not conserve the latency sum"),
+            (internally_consistent(&windows), "merged windows are inconsistent"),
+        ],
+    );
+}
+
+/// Joins the writer threads; a panicked writer is a violation.
+fn join_all(writers: Vec<std::thread::JoinHandle<()>>, kind: &str, t: &mut Tally<'_>) -> bool {
+    let mut ok = true;
+    for h in writers {
+        ok &= h.join().is_ok();
+    }
+    if !ok {
+        t.violation(format_args!("{kind}: a writer thread panicked"));
+    }
+    ok
 }
 
 /// Writers race a snapshotting reader; every torn read must still be
 /// internally consistent and monotonic.
-fn torn_snapshot(rng: &mut TestRng, report: &mut MetricsCorpusReport) -> bool {
+fn torn_snapshot(rng: &mut TestRng, t: &mut Tally<'_>) {
+    let kind = MetricsFaultKind::TornSnapshot.name();
     let samples = workload(rng);
     let hist = Arc::new(LiveHistogram::new());
     let counter = Arc::new(LiveCounter::new());
@@ -166,26 +191,29 @@ fn torn_snapshot(rng: &mut TestRng, report: &mut MetricsCorpusReport) -> bool {
         torn_ok &= counter.value() <= samples.len() as u64;
         last_count = snap.count;
         last_sum = snap.sum_ns;
-        report.reads_taken += 1;
+        t.count("reads_taken", 1);
     }
-    for h in writers {
-        if h.join().is_err() {
-            return false;
-        }
+    if !join_all(writers, kind, t) {
+        return;
     }
-    report.samples_recorded += samples.len() as u64;
+    t.count("samples_recorded", samples.len() as u64);
 
     let fin = hist.snapshot();
-    torn_ok
-        && fin.count == samples.len() as u64
-        && counter.value() == samples.len() as u64
-        && internally_consistent(&fin)
+    t.invariants(
+        kind,
+        &[
+            (torn_ok, "a torn read was inconsistent or went backward"),
+            (fin.count == samples.len() as u64, "final snapshot lost samples"),
+            (counter.value() == samples.len() as u64, "counter lost increments"),
+            (internally_consistent(&fin), "final snapshot is inconsistent"),
+        ],
+    );
 }
 
 /// An SLO tracker fed skewed clock readings: stale `now`s and forward
 /// jumps. Nothing may panic, totals may never exceed the feed, and the
 /// tracker must be deterministic per seed.
-fn slo_clock_skew(rng: &mut TestRng, report: &mut MetricsCorpusReport) -> bool {
+fn slo_clock_skew(rng: &mut TestRng, t: &mut Tally<'_>) {
     let window = rng.range_u32(1_000, 1_000_000);
     let cfg = SloConfig {
         target_delivery_us: u64::from(rng.range_u32(100, 20_000)),
@@ -229,89 +257,20 @@ fn slo_clock_skew(rng: &mut TestRng, report: &mut MetricsCorpusReport) -> bool {
     };
     let (good_a, bad_a, burn_a, breached_a) = run(&SloTracker::new(cfg));
     let (good_b, bad_b, burn_b, breached_b) = run(&SloTracker::new(cfg));
-    report.samples_recorded += events.len() as u64;
-    report.reads_taken += 2;
+    t.count("samples_recorded", events.len() as u64);
+    t.count("reads_taken", 2);
 
     let total = good_a + bad_a;
-    total <= events.len() as u64
-        && burn_a.is_finite()
-        && burn_a >= 0.0
-        && (!breached_a || total >= cfg.min_events.max(1))
-        && (good_a, bad_a, breached_a) == (good_b, bad_b, breached_b)
-        && burn_a == burn_b
-}
-
-/// Runs one live-telemetry adversary case; returns `true` when every
-/// invariant held.
-fn run_metrics_case(seed: u64, kind: MetricsFaultKind, report: &mut MetricsCorpusReport) -> bool {
-    let mut rng = TestRng::new(seed ^ 0x4d45_5452); // "METR" domain split
-    match kind {
-        MetricsFaultKind::ScrapeDuringRotation => scrape_during_rotation(&mut rng, report),
-        MetricsFaultKind::TornSnapshot => torn_snapshot(&mut rng, report),
-        MetricsFaultKind::SloClockSkew => slo_clock_skew(&mut rng, report),
-    }
-}
-
-/// Runs the fixed live-telemetry adversary corpus: `n_cases` seeds,
-/// each exercising every [`MetricsFaultKind`].
-pub fn run_metrics_corpus(base_seed: u64, n_cases: u64) -> MetricsCorpusReport {
-    let mut report = MetricsCorpusReport {
-        cases: 0,
-        samples_recorded: 0,
-        reads_taken: 0,
-        violations: 0,
-        failing_seeds: Vec::new(),
-    };
-    for i in 0..n_cases {
-        let seed = base_seed.wrapping_add(i);
-        for kind in ALL_METRICS_FAULTS {
-            report.cases += 1;
-            if !run_metrics_case(seed, kind, &mut report) {
-                report.violations += 1;
-                if report.failing_seeds.len() < 32 {
-                    report.failing_seeds.push(seed);
-                }
-            }
-        }
-    }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_fault_has_a_stable_unique_name() {
-        let mut names: Vec<_> = ALL_METRICS_FAULTS.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ALL_METRICS_FAULTS.len());
-    }
-
-    #[test]
-    fn small_corpus_passes_clean() {
-        let report = run_metrics_corpus(0x5252_2021, 40);
-        assert_eq!(report.cases, 40 * ALL_METRICS_FAULTS.len() as u64);
-        assert!(report.passed(), "failing seeds: {:?}", report.failing_seeds);
-        assert!(report.samples_recorded > 0);
-        assert!(report.reads_taken > 0);
-    }
-
-    #[test]
-    fn clock_skew_case_is_deterministic_per_seed() {
-        let mut a = MetricsCorpusReport {
-            cases: 0,
-            samples_recorded: 0,
-            reads_taken: 0,
-            violations: 0,
-            failing_seeds: Vec::new(),
-        };
-        let mut b = a.clone();
-        assert_eq!(
-            run_metrics_case(7, MetricsFaultKind::SloClockSkew, &mut a),
-            run_metrics_case(7, MetricsFaultKind::SloClockSkew, &mut b),
-        );
-        assert_eq!(a.samples_recorded, b.samples_recorded);
-    }
+    t.invariants(
+        MetricsFaultKind::SloClockSkew.name(),
+        &[
+            (total <= events.len() as u64, "window holds more events than were fed"),
+            (burn_a.is_finite() && burn_a >= 0.0, "burn rate not finite and non-negative"),
+            (!breached_a || total >= cfg.min_events.max(1), "breach below min_events"),
+            (
+                (good_a, bad_a, breached_a) == (good_b, bad_b, breached_b) && burn_a == burn_b,
+                "tracker is not deterministic",
+            ),
+        ],
+    );
 }

@@ -8,14 +8,13 @@
 //! frame without growing the high-resolution pixel budget, and a
 //! zero-motion field must be an exact no-op. Each [`PredictFaultKind`]
 //! manufactures one hostile field class from a seeded coherent base;
-//! [`run_predict_corpus`] checks the invariants over a fixed seed
-//! corpus the `conformance` binary gates CI on.
+//! the [`Prediction`] adversary checks the invariants for every kind
+//! of every seed.
 
-use crate::{gen_region_list, TestRng};
+use crate::{gen_region_list, Adversary, Tally, TestRng};
 use rpr_frame::Rect;
 use rpr_predict::{estimate_ego_motion, predict_labels, EgoEstimatorConfig, TrackerConfig};
 use rpr_vision::MotionVector;
-use serde::Serialize;
 
 /// Every motion-field corruption class the harness can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,26 +136,28 @@ impl PredictFaultKind {
     }
 }
 
-/// Outcome of a prediction-adversary seed corpus.
-#[derive(Debug, Clone, Serialize)]
-pub struct PredictCorpusReport {
-    /// Cases run (seeds × fault kinds).
-    pub cases: u64,
-    /// Cases where the fit degraded to the identity (by design for
-    /// starved fields).
-    pub identity_degradations: u64,
-    /// Cases where prediction produced at least one projected label.
-    pub labels_projected: u64,
-    /// Invariant violations — must be zero for the gate to pass.
-    pub violations: u64,
-    /// Seeds of violating cases, for reproduction.
-    pub failing_seeds: Vec<u64>,
-}
+/// The prediction corpus: one case per (seed, [`PredictFaultKind`]).
+/// A case whose invariants all hold counts as harmless.
+///
+/// Counters: `identity_degradations` (fits that fell back to the
+/// identity, by design for starved fields) and `labels_projected`
+/// (cases that produced at least one projected label).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Prediction;
 
-impl PredictCorpusReport {
-    /// Whether the corpus met the contract.
-    pub fn passed(&self) -> bool {
-        self.violations == 0
+impl Adversary for Prediction {
+    fn name(&self) -> &'static str {
+        "prediction"
+    }
+
+    fn kinds(&self) -> Vec<&'static str> {
+        ALL_PREDICT_FAULTS.iter().map(|k| k.name()).collect()
+    }
+
+    fn run_seed(&self, seed: u64, tally: &mut Tally<'_>) {
+        for kind in ALL_PREDICT_FAULTS {
+            tally.case(|t| predict_case(seed, kind, t));
+        }
     }
 }
 
@@ -183,9 +184,7 @@ fn base_field(rng: &mut TestRng) -> Vec<MotionVector> {
         .collect()
 }
 
-/// Runs one prediction-adversary case; returns `true` when every
-/// invariant held.
-fn run_predict_case(seed: u64, kind: PredictFaultKind, report: &mut PredictCorpusReport) -> bool {
+fn predict_case(seed: u64, kind: PredictFaultKind, t: &mut Tally<'_>) {
     let width = 128u32;
     let height = 96u32;
     let mut rng = TestRng::new(seed ^ 0x5045_5246); // "PERF" domain split
@@ -195,72 +194,46 @@ fn run_predict_case(seed: u64, kind: PredictFaultKind, report: &mut PredictCorpu
     let ego_cfg = EgoEstimatorConfig::default();
     let ego = estimate_ego_motion(&field, &ego_cfg);
     let ego2 = estimate_ego_motion(&field, &ego_cfg);
-
-    // Fit invariants: finite, bounded confidence, deterministic.
-    let fit_ok = ego.transform.tx.is_finite()
-        && ego.transform.ty.is_finite()
-        && ego.transform.theta.is_finite()
-        && (0.0..=1.0).contains(&ego.confidence)
-        && ego.inliers <= ego.total
-        && ego == ego2;
-    if ego.confidence == 0.0 {
-        report.identity_degradations += 1;
-    }
+    t.count("identity_degradations", u64::from(ego.confidence == 0.0));
 
     let cfg = TrackerConfig::default();
     let predicted = predict_labels(&labels, &field, &ego, width, height, &cfg);
     let predicted2 = predict_labels(&labels, &field, &ego, width, height, &cfg);
-    if !predicted.is_empty() {
-        report.labels_projected += 1;
-    }
+    t.count("labels_projected", u64::from(!predicted.is_empty()));
 
-    // Projection invariants: in bounds, non-empty footprints, budget
-    // never grows, deterministic; zero fields are exact no-ops.
-    let in_bounds = predicted
-        .iter()
-        .all(|l| l.right() <= width && l.bottom() <= height && l.w > 0 && l.h > 0);
     let budget_in: u64 = labels.iter().map(|l| l.kept_pixels()).sum();
     let budget_out: u64 = predicted.iter().map(|l| l.kept_pixels()).sum();
-    let noop_ok = kind != PredictFaultKind::ZeroTies || predicted == labels;
-    fit_ok && in_bounds && budget_out <= budget_in && predicted == predicted2 && noop_ok
-}
-
-/// Runs the fixed prediction-adversary corpus: `n_cases` seeds, each
-/// exercising every [`PredictFaultKind`].
-pub fn run_predict_corpus(base_seed: u64, n_cases: u64) -> PredictCorpusReport {
-    let mut report = PredictCorpusReport {
-        cases: 0,
-        identity_degradations: 0,
-        labels_projected: 0,
-        violations: 0,
-        failing_seeds: Vec::new(),
-    };
-    for i in 0..n_cases {
-        let seed = base_seed.wrapping_add(i);
-        for kind in ALL_PREDICT_FAULTS {
-            report.cases += 1;
-            if !run_predict_case(seed, kind, &mut report) {
-                report.violations += 1;
-                if report.failing_seeds.len() < 32 {
-                    report.failing_seeds.push(seed);
-                }
-            }
-        }
-    }
-    report
+    t.invariants(
+        kind.name(),
+        &[
+            (
+                ego.transform.tx.is_finite()
+                    && ego.transform.ty.is_finite()
+                    && ego.transform.theta.is_finite(),
+                "ego fit is not finite",
+            ),
+            ((0.0..=1.0).contains(&ego.confidence), "confidence outside [0, 1]"),
+            (ego.inliers <= ego.total, "more inliers than vectors"),
+            (ego == ego2, "ego fit is not deterministic"),
+            (
+                predicted
+                    .iter()
+                    .all(|l| l.right() <= width && l.bottom() <= height && l.w > 0 && l.h > 0),
+                "projected label empty or out of frame",
+            ),
+            (budget_out <= budget_in, "projection grew the pixel budget"),
+            (predicted == predicted2, "projection is not deterministic"),
+            (
+                kind != PredictFaultKind::ZeroTies || predicted == labels,
+                "zero field moved the labels",
+            ),
+        ],
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_fault_has_a_stable_unique_name() {
-        let mut names: Vec<_> = ALL_PREDICT_FAULTS.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ALL_PREDICT_FAULTS.len());
-    }
 
     #[test]
     fn injection_is_deterministic_per_seed() {
@@ -271,15 +244,6 @@ mod tests {
             let b = kind.inject(&base, &mut TestRng::new(7));
             assert_eq!(a, b, "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn small_corpus_passes_clean() {
-        let report = run_predict_corpus(0x5252_2021, 50);
-        assert_eq!(report.cases, 50 * ALL_PREDICT_FAULTS.len() as u64);
-        assert!(report.passed(), "failing seeds: {:?}", report.failing_seeds);
-        assert!(report.identity_degradations > 0, "starved fields must degrade");
-        assert!(report.labels_projected > 0, "healthy fields must project");
     }
 
     #[test]
