@@ -269,17 +269,37 @@ fn main() {
         });
         runs.push(Pair { kernel: "strided_encode", scalar_mb_s, chunked_mb_s });
 
-        let encoded = enc.encode(&frames[0], 0, &strided);
-        let mut dec = SoftwareDecoder::with_pool(w, h, ReconstructionMode::BlockNearest, pool);
-        let chunked_mb_s = mb_per_s(pixels, || {
-            let out = dec.decode(&encoded);
-            dec.recycle_output(out);
-        });
-        let mut refdec = ReferenceDecoder::new(w, h, ReconstructionMode::BlockNearest);
-        let scalar_mb_s = mb_per_s(pixels, || {
-            std::hint::black_box(refdec.decode(&encoded).as_slice().len());
-        });
-        runs.push(Pair { kernel: "strided_decode", scalar_mb_s, chunked_mb_s });
+        // The decoder on the three frame kinds a pose camera sends: a
+        // full-frame capture, the stride-2 region sampled, and the same
+        // region skipped. Each timed decoder decodes its frame over the
+        // output of its own previous call. The skipped pair first decodes
+        // a full frame of `frames[1]`, so that even its first call copies
+        // the region from a history rather than filling it black.
+        let full = RegionList::full_frame(w, h);
+        let history = enc.encode(&frames[1], 0, &full);
+        let decodes = [
+            ("full_decode", enc.encode(&frames[0], 0, &full), false),
+            ("strided_decode", enc.encode(&frames[0], 0, &strided), false),
+            ("skipped_decode", enc.encode(&frames[0], 1, &strided), true),
+        ];
+        for (kernel, encoded, primed) in decodes {
+            let mut dec =
+                SoftwareDecoder::with_pool(w, h, ReconstructionMode::BlockNearest, pool.clone());
+            let mut refdec = ReferenceDecoder::new(w, h, ReconstructionMode::BlockNearest);
+            if primed {
+                let out = dec.decode(&history);
+                dec.recycle_output(out);
+                refdec.decode(&history);
+            }
+            let chunked_mb_s = mb_per_s(pixels, || {
+                let out = dec.decode(&encoded);
+                dec.recycle_output(out);
+            });
+            let scalar_mb_s = mb_per_s(pixels, || {
+                std::hint::black_box(refdec.decode(&encoded).as_slice().len());
+            });
+            runs.push(Pair { kernel, scalar_mb_s, chunked_mb_s });
+        }
     }
 
     // Blob labelling on rendered pose frames at the pose task's

@@ -273,8 +273,6 @@ mod tests {
             "crates/core/src/kernels.rs::write_span_mask_scalar",
             "crates/core/src/kernels.rs::gather_strided",
             "crates/core/src/kernels.rs::gather_strided_scalar",
-            "crates/core/src/kernels.rs::unpack_mask_row",
-            "crates/core/src/kernels.rs::unpack_mask_row_scalar",
             "crates/core/src/kernels.rs::entry_word",
             "crates/vision/src/blob.rs::detect_blobs_into",
             "crates/core/src/encoder.rs::RhythmicEncoder::encode",

@@ -174,6 +174,8 @@ pub struct SoftwareDecoder {
     cur_dist: Vec<u32>,
     /// All-zero stand-in for the row above row 0.
     zero_row: Vec<u8>,
+    /// One row's mask bytes, for rows that do not start on a mask byte.
+    row_mask: Vec<u8>,
 }
 
 impl SoftwareDecoder {
@@ -205,6 +207,7 @@ impl SoftwareDecoder {
             prev_dist: vec![u32::MAX; us(width)],
             cur_dist: vec![u32::MAX; us(width)],
             zero_row: vec![0; us(width)],
+            row_mask: vec![0; us(width).div_ceil(32) * 8],
         }
     }
 
@@ -318,10 +321,7 @@ impl SoftwareDecoder {
         );
         let _span = rpr_trace::span(rpr_trace::names::DECODE, "core")
             .with_frame(encoded.frame_idx());
-        let out = match self.mode {
-            ReconstructionMode::BlockNearest => self.decode_block_nearest(&encoded),
-            ReconstructionMode::FifoReplicate => self.decode_fifo(&encoded),
-        };
+        let out = self.decode_rows(&encoded);
         // rpr-check: allow(hot-path-alloc): FrameHistory::push, not Vec::push; its ring is checked at its definition
         self.history.push(encoded);
         // Refresh the retained copy in place (a memcpy, not an alloc)
@@ -334,22 +334,28 @@ impl SoftwareDecoder {
         out
     }
 
+    /// Reconstructs every row with [`walk_row`], in either mode.
+    ///
     /// Nearest-anchor reconstruction: strided pixels take the value of
     /// the nearest already-reconstructed in-region pixel (left in the
     /// row, else directly above), which for stride grids is exactly the
-    /// governing stride anchor.
-    fn decode_block_nearest(&mut self, encoded: &EncodedFrame) -> GrayFrame {
-        // Disjoint field borrows: the output buffer, distance scratch,
-        // stats, and the previous decoded plane are all live at once.
+    /// governing stride anchor. FIFO reconstruction is one whole-frame
+    /// transaction in which `St` repeats the last emitted value.
+    fn decode_rows(&mut self, encoded: &EncodedFrame) -> GrayFrame {
+        // Disjoint field borrows: the output buffer, distance and mask
+        // scratch, stats, and the previous decoded plane are all live at
+        // once.
         let SoftwareDecoder {
             width,
             height,
+            mode,
             last_decoded,
             stats,
             pool,
             prev_dist,
             cur_dist,
             zero_row,
+            row_mask,
             ..
         } = self;
         let (width, height) = (*width, *height);
@@ -362,175 +368,56 @@ impl SoftwareDecoder {
         let mut out_vec = pool.get_scratch(w * us(height));
         let prev_plane: Option<&[u8]> = last_decoded.as_ref().map(|p| p.as_slice());
         // Distance (in chamfer steps) from each pixel of the previous row
-        // to its data source; u32::MAX marks "no data".
+        // to its data source; u32::MAX marks "no data". Row 0 reads the
+        // all-MAX row; later rows read what the row above wrote.
         prev_dist.fill(u32::MAX);
-        cur_dist.fill(u32::MAX);
-        let mut status = [0u8; 32];
-
+        let nearest = *mode == ReconstructionMode::BlockNearest;
+        let mut fifo_last = 0u8;
+        // Per-status entry counts over the frame, indexed by wire bits.
+        let mut tally = [0u64; 4];
         for y in 0..height {
+            let base = us(y) * w;
             let span = meta.row_offsets.row_span(y);
             // A frame whose offsets overrun its payload decodes the
             // overrun as black instead of panicking; try_decode's
             // validation is what reports such frames as corrupt.
-            let row_pixels =
-                encoded.pixels().get(us(span.start)..us(span.end)).unwrap_or(&[]);
-            let base = us(y) * w;
+            let payload = encoded.pixels().get(us(span.start)..us(span.end)).unwrap_or(&[]);
             // Split-borrow the plane: everything before this row is
             // final, so the previous row reads straight from the output
             // buffer.
             let (done, rest) = out_vec.split_at_mut(base.min(w * us(height)));
-            let Some(cur_row) = rest.get_mut(..w) else { continue };
-            // Row 0 has no row above; its distances are all u32::MAX,
-            // so the zeros standing in for its values are never read.
-            let prev_row: &[u8] =
-                if y == 0 { zero_row } else { done.get(base - w..).unwrap_or(&[]) };
-            let prev_hist_row = prev_plane.and_then(|p| p.get(base..base + w));
-            let mut tally = [0u64; 4];
-            let mut near = Nearest::start_row(row_pixels);
-            let mut x = 0usize;
-            while x < w {
-                let (stretch, end) = next_stretch(mask_bytes, base, x, w, &mut tally);
-                let (Some(dst), Some(dist), Some(pd)) =
-                    (cur_row.get_mut(x..end), cur_dist.get_mut(x..end), prev_dist.get(x..end))
-                else {
-                    break;
+            let Some(out) = rest.get_mut(..w) else { break };
+            let hist = prev_plane.and_then(|p| p.get(base..base + w));
+            let io = RowIo { out, payload, next_r: 0, hist };
+            // Only an `St` pixel reads the row above's distances. The
+            // next row's mask is read first: it may share the scratch.
+            let keep_dist = nearest
+                && y + 1 < height
+                && holds_strided(row_bytes(mask_bytes, base + w, w, row_mask), w);
+            let mask = row_bytes(mask_bytes, base, w, row_mask);
+            if nearest {
+                // Row 0 has no row above; its distances are all
+                // u32::MAX, so the zeros standing in for its values are
+                // never read.
+                let above: &[u8] =
+                    if y == 0 { zero_row } else { done.get(base - w..).unwrap_or(&[]) };
+                let mut row = NearestRow {
+                    io,
+                    left: Left { dist: u32::MAX, value: 0 },
+                    dist: cur_dist,
+                    above,
+                    above_dist: prev_dist,
+                    keep_dist,
                 };
-                let above = prev_row.get(x..end).unwrap_or(&[]);
-                let hist = prev_hist_row.and_then(|p| p.get(x..end));
-                match stretch {
-                    Stretch::Uniform(R) => near.regional_run(dst, dist),
-                    Stretch::Uniform(ST) => {
-                        let px = dst.iter_mut().zip(dist.iter_mut()).zip(pd).zip(above);
-                        if near.left_dist == u32::MAX {
-                            // No `R` yet in this row: every pixel takes the
-                            // pixel above, or black where that has no data.
-                            for (((o, d), &p), &a) in px {
-                                *d = p.saturating_add(1);
-                                *o = if p == u32::MAX { 0 } else { a };
-                            }
-                        } else {
-                            for (((o, d), &p), &a) in px {
-                                (*o, *d) = near.strided(p, a);
-                            }
-                        }
-                    }
-                    Stretch::Uniform(s) => {
-                        // Black, or history for skipped pixels when the
-                        // decoder has a previous frame.
-                        match (s, hist) {
-                            (SK, Some(src)) => {
-                                dst.copy_from_slice(src);
-                                dist.fill(0);
-                            }
-                            _ => {
-                                dst.fill(0);
-                                dist.fill(u32::MAX);
-                            }
-                        }
-                        near.pass(dst.len());
-                    }
-                    Stretch::Mixed => {
-                        // One status byte per pixel (the whole 32-entry
-                        // word unpacked in one word-wide step); an `R`
-                        // pixel costs one payload byte.
-                        kernels::unpack_mask_row(mask_bytes, base + x, &mut status);
-                        let st = status.get(..end - x).unwrap_or(&[]);
-                        let px =
-                            st.iter().zip(dst.iter_mut()).zip(dist.iter_mut()).zip(pd).zip(above);
-                        for (k, ((((&s, o), d), &p), &a)) in px.enumerate() {
-                            (*o, *d) = match s {
-                                R => near.regional(),
-                                ST => near.strided(p, a),
-                                SK => {
-                                    near.pass(1);
-                                    match hist.and_then(|h| h.get(k)) {
-                                        Some(&v) => (v, 0),
-                                        None => (0, u32::MAX),
-                                    }
-                                }
-                                _ => {
-                                    near.pass(1);
-                                    (0, u32::MAX)
-                                }
-                            };
-                        }
-                    }
-                }
-                x = end;
+                walk_row(mask, w, &mut tally, &mut row);
+                std::mem::swap(prev_dist, cur_dist);
+            } else {
+                let mut row = FifoRow { io, last: fifo_last };
+                walk_row(mask, w, &mut tally, &mut row);
+                fifo_last = row.last;
             }
-            stats.add_row(tally, prev_hist_row.is_some());
-            std::mem::swap(prev_dist, cur_dist);
         }
-        Plane::from_vec(width, height, out_vec)
-            // rpr-check: allow(hot-path-alloc): never runs: out_vec holds exactly width * height bytes, so from_vec succeeds
-            .unwrap_or_else(|_| Plane::new(width, height))
-    }
-
-    /// Hardware-faithful FIFO reconstruction: one whole-frame
-    /// transaction; `St` repeats the last emitted value.
-    fn decode_fifo(&mut self, encoded: &EncodedFrame) -> GrayFrame {
-        let SoftwareDecoder { width, height, last_decoded, stats, pool, .. } = self;
-        let (width, height) = (*width, *height);
-        let w = us(width);
-        let meta = encoded.metadata();
-        let mask_bytes = meta.mask.as_bytes();
-        let mut out_vec = pool.get_scratch(w * us(height));
-        let prev_plane: Option<&[u8]> = last_decoded.as_ref().map(|p| p.as_slice());
-        let mut status = [0u8; 32];
-        let mut last_emitted: u8 = 0;
-        for y in 0..height {
-            let span = meta.row_offsets.row_span(y);
-            let row_pixels =
-                encoded.pixels().get(us(span.start)..us(span.end)).unwrap_or(&[]);
-            let base = us(y) * w;
-            let Some(cur_row) = out_vec.get_mut(base..base + w) else { continue };
-            let prev_hist_row = prev_plane.and_then(|p| p.get(base..base + w));
-            let mut next_r = 0usize;
-            let mut tally = [0u64; 4];
-            let mut x = 0usize;
-            while x < w {
-                let (stretch, end) = next_stretch(mask_bytes, base, x, w, &mut tally);
-                let Some(dst) = cur_row.get_mut(x..end) else { break };
-                let hist = prev_hist_row.and_then(|p| p.get(x..end));
-                match stretch {
-                    Stretch::Uniform(R) => {
-                        next_r = copy_regional(row_pixels, next_r, dst);
-                        last_emitted = dst.last().copied().unwrap_or(0);
-                    }
-                    // Every strided pixel re-emits the FIFO's last
-                    // output, which therefore stays unchanged.
-                    Stretch::Uniform(ST) => dst.fill(last_emitted),
-                    Stretch::Uniform(s) => {
-                        match (s, hist) {
-                            (SK, Some(src)) => dst.copy_from_slice(src),
-                            _ => dst.fill(0),
-                        }
-                        last_emitted = dst.last().copied().unwrap_or(0);
-                    }
-                    Stretch::Mixed => {
-                        kernels::unpack_mask_row(mask_bytes, base + x, &mut status);
-                        let st = status.get(..end - x).unwrap_or(&[]);
-                        for (k, (&s, o)) in st.iter().zip(dst.iter_mut()).enumerate() {
-                            match s {
-                                R => {
-                                    last_emitted = row_pixels.get(next_r).copied().unwrap_or(0);
-                                    next_r += 1;
-                                }
-                                ST => {}
-                                SK => {
-                                    last_emitted =
-                                        hist.and_then(|h| h.get(k)).copied().unwrap_or(0);
-                                }
-                                _ => last_emitted = 0,
-                            }
-                            *o = last_emitted;
-                        }
-                    }
-                }
-                x = end;
-            }
-            stats.add_row(tally, prev_hist_row.is_some());
-        }
+        stats.add_frame(tally, prev_plane.is_some());
         Plane::from_vec(width, height, out_vec)
             // rpr-check: allow(hot-path-alloc): never runs: out_vec holds exactly width * height bytes, so from_vec succeeds
             .unwrap_or_else(|_| Plane::new(width, height))
@@ -601,17 +488,21 @@ impl SoftwareDecoder {
     }
 }
 
-/// 2-bit wire statuses, as [`kernels::unpack_mask_row`] writes them
-/// (`N` is `0b00`).
+/// 2-bit wire statuses (`N` is `0b00`), and the mask bytes of a run of
+/// `R·St` pairs (entry 0 in the low bits): `R, St, R, St` when the
+/// pairs start on the byte, `St, R, St, R` when they start one entry
+/// before it.
 const ST: u8 = 0b01;
 const SK: u8 = 0b10;
 const R: u8 = 0b11;
+const PAIRS: u8 = 0x77;
+const PAIRS_SHIFTED: u8 = 0xDD;
 
 impl DecoderStats {
-    /// Adds one decoded row's per-status pixel tally (indexed by wire
-    /// bits); skipped pixels come from the history when the row had
-    /// one, and are black otherwise.
-    fn add_row(&mut self, tally: [u64; 4], had_history: bool) {
+    /// Adds one decoded frame's per-status pixel tally (indexed by wire
+    /// bits); skipped pixels come from the history when the decoder had
+    /// a previous plane, and are black otherwise.
+    fn add_frame(&mut self, tally: [u64; 4], had_history: bool) {
         let [n, st, sk, r] = tally;
         self.regional += r;
         self.interpolated += st;
@@ -624,125 +515,206 @@ impl DecoderStats {
     }
 }
 
-/// A stretch of a row's mask, as the decoders walk it.
-#[derive(Debug, Clone, Copy)]
-enum Stretch {
-    /// Every entry holds this status: one bulk copy or fill.
-    Uniform(u8),
-    /// Fewer than 32 entries of mixed statuses, decoded one per pixel.
-    Mixed,
+/// The mask entries `base..base + w` of one row as bytes, entry `k` in
+/// bits `2 * (k % 4)` of byte `k / 4`. A row that starts on a byte is
+/// borrowed from the packed mask. Any other row (some rows of widths
+/// not divisible by 4), or a mask too short for the frame, is shifted
+/// into `scratch` one [`kernels::entry_word`] (32 entries) at a time;
+/// entries past the mask read as `N`.
+fn row_bytes<'a>(mask: &'a [u8], base: usize, w: usize, scratch: &'a mut [u8]) -> &'a [u8] {
+    if base.is_multiple_of(4) {
+        if let Some(bytes) = mask.get(base / 4..(base + w).div_ceil(4)) {
+            return bytes;
+        }
+    }
+    for (k, word) in scratch.chunks_exact_mut(8).enumerate() {
+        word.copy_from_slice(&kernels::entry_word(mask, base + 32 * k).to_le_bytes());
+    }
+    scratch
 }
 
-/// Uniform runs at least this long inside a mixed mask word are
-/// decoded in bulk; shorter ones go pixel by pixel.
-const MIN_BULK_RUN: usize = 8;
+/// True when a row's first `w` mask entries, as [`row_bytes`] gives
+/// them, hold an `St` entry.
+fn holds_strided(mask: &[u8], w: usize) -> bool {
+    let whole = mask.get(..w / 4).unwrap_or(mask);
+    // Bit 2j of `b & !(b >> 1)` is set where entry j of byte `b` is `01`.
+    let strided = whole.iter().fold(0u8, |acc, &b| acc | (b & !(b >> 1)));
+    strided & 0x55 != 0 || (4 * whole.len()..w).any(|x| kernels::entry_at(mask, x) == ST)
+}
 
-/// Reads the row stretch starting at column `x` of the row at entry
-/// `base` (`w` columns) and returns it with its end column, adding its
-/// per-status entry counts (indexed by wire bits) to `tally`.
+/// How many leading bytes of `bytes` equal `b`, compared 8 at a time.
+fn repeat_len(bytes: &[u8], b: u8) -> usize {
+    let splat = u64::from(b) * 0x0101_0101_0101_0101;
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for word in &mut words {
+        let diff = <[u8; 8]>::try_from(word).map_or(!splat, u64::from_le_bytes) ^ splat;
+        if diff != 0 {
+            return n + us(diff.trailing_zeros()) / 8;
+        }
+        n += 8;
+    }
+    n + words.remainder().iter().take_while(|&&c| c == b).count()
+}
+
+/// Adds `n` copies of mask byte `b`'s four entries to `tally`.
+#[inline(always)]
+fn tally_byte(tally: &mut [u64; 4], b: u8, n: usize) {
+    for k in 0..4 {
+        if let Some(t) = tally.get_mut(usize::from((b >> (2 * k)) & 0b11)) {
+            *t += ul(n);
+        }
+    }
+}
+
+/// What one reconstruction mode does with the stretches of a row that
+/// [`walk_row`] hands it: left to right, every entry exactly once.
+trait RowSink {
+    /// Entries `x..end` all hold `status`.
+    fn run(&mut self, status: u8, x: usize, end: usize);
+    /// Entries `x..end` alternate `R`, `St`, starting with `R`.
+    fn pairs(&mut self, x: usize, end: usize);
+    /// Entry `x` holds `status`.
+    fn pixel(&mut self, status: u8, x: usize);
+}
+
+/// Walks a row's first `w` mask entries a byte (4 entries) at a time,
+/// adding the per-status entry counts (indexed by wire bits) to
+/// `tally`.
 ///
-/// The mask is read 32 entries per [`kernels::entry_word`]. When the
-/// run starting at `x` fills the word or is at least [`MIN_BULK_RUN`]
-/// long, the stretch is that whole run, followed through as many words
-/// as it spans. Otherwise the stretch is mixed and ends where the
-/// word's last run starts, since that run may go on into the next word.
-fn next_stretch(
-    mask: &[u8],
-    base: usize,
-    x: usize,
-    w: usize,
-    tally: &mut [u64; 4],
-) -> (Stretch, usize) {
-    const EVEN: u64 = 0x5555_5555_5555_5555;
-    let valid = |n: usize| if n >= 32 { u64::MAX } else { (1u64 << (2 * n)) - 1 };
-    let n = (w - x).min(32);
-    let word = kernels::entry_word(mask, base + x) & valid(n);
-    let s = (word & 0b11) as u8; // rpr-check: allow(truncating-cast): masked to 2 bits
-    let splat = u64::from(s) * EVEN;
-    let diff = (word ^ splat) & valid(n);
-    let first_run = if diff == 0 { n } else { us(diff.trailing_zeros()) / 2 };
-    if diff == 0 || first_run >= MIN_BULK_RUN {
-        let mut end = x + first_run;
-        if diff == 0 {
-            // The run fills the word: follow it through the next words
-            // to where it ends.
-            while end < w {
-                let m = (w - end).min(32);
-                let next = (kernels::entry_word(mask, base + end) ^ splat) & valid(m);
-                if next != 0 {
-                    end += us(next.trailing_zeros()) / 2;
-                    break;
+/// A byte that repeats one status, or holds `R·St` pairs in either
+/// phase, starts a stretch that lasts as long as the byte repeats
+/// (found 8 bytes per compare) and goes to `sink` whole. Any other
+/// byte, and the entries past the row's last whole byte, go to `sink`
+/// one pixel at a time.
+fn walk_row(mask: &[u8], w: usize, tally: &mut [u64; 4], sink: &mut impl RowSink) {
+    let whole = mask.get(..w / 4).unwrap_or(mask);
+    let mut i = 0;
+    while let Some(&b) = whole.get(i) {
+        let x = 4 * i;
+        let n = if matches!(b, 0x00 | 0x55 | 0xAA | 0xFF | PAIRS | PAIRS_SHIFTED) {
+            let n = repeat_len(whole.get(i..).unwrap_or(&[]), b).max(1);
+            let end = x + 4 * n;
+            match b {
+                PAIRS => sink.pairs(x, end),
+                PAIRS_SHIFTED => {
+                    sink.pixel(ST, x);
+                    sink.pairs(x + 1, end);
                 }
-                end += m;
+                _ => sink.run(b & 0b11, x, end),
             }
-        }
+            n
+        } else {
+            for k in 0..4 {
+                sink.pixel((b >> (2 * k)) & 0b11, x + k);
+            }
+            1
+        };
+        tally_byte(tally, b, n);
+        i += n;
+    }
+    for x in 4 * whole.len()..w {
+        let s = kernels::entry_at(mask, x);
+        sink.pixel(s, x);
         if let Some(t) = tally.get_mut(usize::from(s)) {
-            *t += ul(end - x);
+            *t += 1;
         }
-        return (Stretch::Uniform(s), end);
     }
-    // Bit pair `k` of `change` is set where entry `k + 1` differs from
-    // entry `k`; the highest one is the last run's start, minus one.
-    let change = (word ^ (word >> 2)) & valid(n - 1);
-    let len = us(63 - change.leading_zeros()) / 2 + 1;
-    let word = word & valid(len);
-    let lo = u64::from((word & EVEN).count_ones());
-    let hi = u64::from((word >> 1 & EVEN).count_ones());
-    let r = u64::from((word & word >> 1 & EVEN).count_ones());
-    let counts = [ul(len) + r - lo - hi, lo - r, hi - r, r];
-    for (t, c) in tally.iter_mut().zip(counts) {
-        *t += c;
-    }
-    (Stretch::Mixed, x + len)
 }
 
-/// Copies a uniform `R` stretch's pixels from the row payload starting
-/// at `next_r`, decoding any overrun past the payload as black, and
-/// returns the payload position after it.
-fn copy_regional(row_pixels: &[u8], next_r: usize, dst: &mut [u8]) -> usize {
-    let avail = row_pixels.len().saturating_sub(next_r).min(dst.len());
-    let (copied, pad) = dst.split_at_mut(avail);
-    copied.copy_from_slice(row_pixels.get(next_r..next_r + avail).unwrap_or(&[]));
-    pad.fill(0);
-    next_r + dst.len()
-}
-
-/// Per-row state of nearest-anchor reconstruction: the row payload
-/// and the next byte to take from it, plus the distance to and value
-/// of the last `R` pixel seen in the row (`u32::MAX` and 0 before the
-/// first).
-struct Nearest<'a> {
-    row_pixels: &'a [u8],
+/// One output row and where its pixels come from, in both modes: the
+/// row's payload and the next byte to take from it, and the previous
+/// decoded frame's row when there is one.
+struct RowIo<'a> {
+    out: &'a mut [u8],
+    payload: &'a [u8],
     next_r: usize,
-    left_dist: u32,
-    left: u8,
+    hist: Option<&'a [u8]>,
 }
 
-impl<'a> Nearest<'a> {
-    fn start_row(row_pixels: &'a [u8]) -> Self {
-        Nearest { row_pixels, next_r: 0, left_dist: u32::MAX, left: 0 }
-    }
-
-    /// Moves past `n` pixels that are not `R`.
+impl<'a> RowIo<'a> {
+    /// Where `N` and `Sk` entries take their values: skipped ones from
+    /// the previous frame's row when there is one; `None` is black.
     #[inline(always)]
-    fn pass(&mut self, n: usize) {
-        self.left_dist = self.left_dist.saturating_add(u32::try_from(n).unwrap_or(u32::MAX));
+    fn background(&self, status: u8) -> Option<&'a [u8]> {
+        self.hist.filter(|_| status == SK)
     }
 
-    /// An `R` pixel: the next payload byte (black once exhausted).
+    /// The value of one `R`, `N` or `Sk` entry at `x`: the next payload
+    /// byte (black once exhausted), or [`Self::background`]'s.
     #[inline(always)]
-    fn regional(&mut self) -> (u8, u32) {
-        let v = self.row_pixels.get(self.next_r).copied().unwrap_or(0);
-        self.next_r += 1;
-        (self.left_dist, self.left) = (0, v);
-        (v, 0)
+    fn take(&mut self, status: u8, x: usize) -> Option<u8> {
+        if status == R {
+            self.next_r += 1;
+            return Some(self.payload.get(self.next_r - 1).copied().unwrap_or(0));
+        }
+        self.background(status).and_then(|h| h.get(x)).copied()
     }
 
-    /// A uniform `R` stretch, copied in bulk.
-    fn regional_run(&mut self, dst: &mut [u8], dist: &mut [u32]) {
-        self.next_r = copy_regional(self.row_pixels, self.next_r, dst);
-        dist.fill(0);
-        (self.left_dist, self.left) = (0, dst.last().copied().unwrap_or(0));
+    /// `R`, `N` or `Sk` entries `x..end` as [`Self::take`] gives them, in
+    /// one memcpy and one fill of black. Returns the last value, `None`
+    /// for black.
+    fn run(&mut self, status: u8, x: usize, end: usize) -> Option<u8> {
+        let src = if status == R {
+            self.next_r += end - x;
+            Some(self.payload.get(self.next_r - (end - x)..).unwrap_or(&[]))
+        } else {
+            self.background(status).and_then(|h| h.get(x..end))
+        };
+        let dst = self.out.get_mut(x..end)?;
+        let Some(src) = src else {
+            dst.fill(0);
+            return None;
+        };
+        let n = src.len().min(dst.len());
+        let (copied, pad) = dst.split_at_mut(n);
+        copied.copy_from_slice(src.get(..n).unwrap_or(&[]));
+        if !pad.is_empty() {
+            pad.fill(0);
+        }
+        dst.last().copied()
+    }
+
+    /// `R·St` pairs `x..end`: each payload byte is written twice (once
+    /// when the stretch ends on its `R`), black past the payload's end.
+    /// Returns the last value.
+    fn pairs(&mut self, x: usize, end: usize) -> u8 {
+        let Some(dst) = self.out.get_mut(x..end) else { return 0 };
+        let src = self.payload.get(self.next_r..).unwrap_or(&[]);
+        self.next_r += dst.len().div_ceil(2);
+        let k = src.len().min(dst.len() / 2);
+        let (body, rest) = dst.split_at_mut(2 * k);
+        for (pair, &v) in body.chunks_exact_mut(2).zip(src) {
+            pair.copy_from_slice(&[v, v]);
+        }
+        rest.fill(0);
+        // The first entry of `rest` is an `R`: the odd last one, or the
+        // first past the payload.
+        if let (Some(first), Some(&v)) = (rest.first_mut(), src.get(k)) {
+            *first = v;
+        }
+        dst.last().copied().unwrap_or(0)
+    }
+}
+
+/// Distance to and value of the last `R` pixel seen in a row
+/// (`u32::MAX` and 0 before the first).
+#[derive(Debug, Clone, Copy)]
+struct Left {
+    dist: u32,
+    value: u8,
+}
+
+impl Left {
+    /// Moves past `n` entries of `status` (not `St`); `last` is the
+    /// value of the last one.
+    #[inline(always)]
+    fn pass(&mut self, status: u8, n: usize, last: Option<u8>) {
+        if status == R {
+            *self = Left { dist: 0, value: last.unwrap_or(0) };
+        } else {
+            self.dist = self.dist.saturating_add(u32::try_from(n).unwrap_or(u32::MAX));
+        }
     }
 
     /// A strided pixel whose above neighbour is at chamfer distance
@@ -751,12 +723,131 @@ impl<'a> Nearest<'a> {
     /// black at distance `u32::MAX` when neither has data.
     #[inline(always)]
     fn strided(&mut self, above_dist: u32, above: u8) -> (u8, u32) {
-        self.pass(1);
+        self.dist = self.dist.saturating_add(1);
         let da = above_dist.saturating_add(1);
-        if self.left_dist <= da {
-            (self.left, self.left_dist)
+        if self.dist <= da {
+            (self.value, self.dist)
         } else {
             (above, da)
+        }
+    }
+}
+
+/// Nearest-anchor reconstruction of one row. Each pixel's chamfer
+/// distance goes to `dist`, which the row below reads as `above_dist`.
+/// Only an `St` pixel reads it, so bulk stretches other than `St` write
+/// theirs only when `keep_dist` says the row below holds an `St`.
+struct NearestRow<'a> {
+    io: RowIo<'a>,
+    left: Left,
+    dist: &'a mut [u32],
+    above: &'a [u8],
+    above_dist: &'a [u32],
+    keep_dist: bool,
+}
+
+impl NearestRow<'_> {
+    /// The distances of entries `x..end`, when the row below reads them.
+    fn kept_dist(&mut self, x: usize, end: usize) -> Option<&mut [u32]> {
+        let keep = self.keep_dist;
+        self.dist.get_mut(x..end).filter(|_| keep)
+    }
+}
+
+impl RowSink for NearestRow<'_> {
+    fn run(&mut self, status: u8, x: usize, end: usize) {
+        if status != ST {
+            let last = self.io.run(status, x, end);
+            self.left.pass(status, end - x, last);
+            if let Some(dist) = self.kept_dist(x, end) {
+                dist.fill(last.map_or(u32::MAX, |_| 0));
+            }
+            return;
+        }
+        let NearestRow { io, left, dist, above, above_dist, .. } = self;
+        let (Some(out), Some(dist)) = (io.out.get_mut(x..end), dist.get_mut(x..end)) else {
+            return;
+        };
+        let above_dist = above_dist.get(x..end).unwrap_or(&[]);
+        let above = above.get(x..end).unwrap_or(&[]);
+        if let (u32::MAX, true) = (left.dist, above.len() == out.len()) {
+            // No `R` yet in this row: every pixel takes the pixel above,
+            // or black where that has no data.
+            out.copy_from_slice(above);
+            let mut blind = false;
+            for (d, &p) in dist.iter_mut().zip(above_dist) {
+                *d = p.saturating_add(1);
+                blind |= p == u32::MAX;
+            }
+            if blind {
+                let unseen = out.iter_mut().zip(above_dist).filter(|(_, &p)| p == u32::MAX);
+                unseen.for_each(|(o, _)| *o = 0);
+            }
+        } else {
+            let px = out.iter_mut().zip(dist.iter_mut()).zip(above_dist).zip(above);
+            for (((o, d), &p), &a) in px {
+                (*o, *d) = left.strided(p, a);
+            }
+        }
+    }
+
+    fn pairs(&mut self, x: usize, end: usize) {
+        // Exact whatever the row above holds: each `St` has its `R` at
+        // left distance 1, the above pixel's distance + 1 is at least
+        // 1, and a tie goes left.
+        let value = self.io.pairs(x, end);
+        self.left = Left { dist: u32::from((end - x).is_multiple_of(2)), value };
+        if let Some(dist) = self.kept_dist(x, end) {
+            let mut two = dist.chunks_exact_mut(2);
+            for pair in &mut two {
+                pair.copy_from_slice(&[0, 1]);
+            }
+            two.into_remainder().fill(0);
+        }
+    }
+
+    fn pixel(&mut self, status: u8, x: usize) {
+        let (v, d) = if status == ST {
+            let above_dist = self.above_dist.get(x).copied().unwrap_or(u32::MAX);
+            self.left.strided(above_dist, self.above.get(x).copied().unwrap_or(0))
+        } else {
+            let v = self.io.take(status, x);
+            self.left.pass(status, 1, v);
+            (v.unwrap_or(0), v.map_or(u32::MAX, |_| 0))
+        };
+        if let (Some(o), Some(dist)) = (self.io.out.get_mut(x), self.dist.get_mut(x)) {
+            (*o, *dist) = (v, d);
+        }
+    }
+}
+
+/// Hardware-faithful FIFO reconstruction of one row: `last` is the
+/// value the response stream emitted last, carried across rows. Every
+/// `St` entry re-emits it, so `St` leaves it unchanged.
+struct FifoRow<'a> {
+    io: RowIo<'a>,
+    last: u8,
+}
+
+impl RowSink for FifoRow<'_> {
+    fn run(&mut self, status: u8, x: usize, end: usize) {
+        if status != ST {
+            self.last = self.io.run(status, x, end).unwrap_or(0);
+        } else if let Some(dst) = self.io.out.get_mut(x..end) {
+            dst.fill(self.last);
+        }
+    }
+
+    fn pairs(&mut self, x: usize, end: usize) {
+        self.last = self.io.pairs(x, end);
+    }
+
+    fn pixel(&mut self, status: u8, x: usize) {
+        if status != ST {
+            self.last = self.io.take(status, x).unwrap_or(0);
+        }
+        if let Some(o) = self.io.out.get_mut(x) {
+            *o = self.last;
         }
     }
 }

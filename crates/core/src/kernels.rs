@@ -241,17 +241,6 @@ pub fn pack_priority_row(packed: &mut [u8], start_entry: usize, row_pri: &[u8]) 
     );
 }
 
-/// Spreads 16 bits of 2-bit wire entries into 8 status bytes, entry
-/// `k` landing in byte `k`: three shift-or-mask steps halve the packed
-/// width each step (16 -> 8 -> 4 -> 2 bits per lane).
-#[inline(always)]
-fn spread_entries(bits: u16) -> u64 {
-    let mut v = u64::from(bits);
-    v = (v | (v << 24)) & 0x0000_00FF_0000_00FF;
-    v = (v | (v << 12)) & 0x000F_000F_000F_000F;
-    (v | (v << 6)) & 0x0303_0303_0303_0303
-}
-
 /// Per-entry reference implementation of [`pack_priority_row`]. Same
 /// zero-target contract.
 pub fn pack_priority_row_scalar(packed: &mut [u8], start_entry: usize, row_pri: &[u8]) {
@@ -570,39 +559,6 @@ pub(crate) fn entry_word(packed: &[u8], start_entry: usize) -> u64 {
         lo
     } else {
         (lo >> shift) | (u64::from(packed.get(byte + 8).copied().unwrap_or(0)) << (64 - shift))
-    }
-}
-
-/// Unpacks packed entries `[start_entry, start_entry + out.len())` into
-/// one 2-bit wire status per byte of `out` — the decoder's view of a
-/// mixed stretch of a row, and the inverse of [`pack_priority_row`] up
-/// to the priority/wire mapping. Entries past the end of `packed` read
-/// as `0`.
-///
-/// One [`entry_word`] read per 32 entries, from any 2-bit phase; each
-/// 16-bit quarter is spread into 8 bytes with three shift-or-mask
-/// steps.
-pub fn unpack_mask_row(packed: &[u8], start_entry: usize, out: &mut [u8]) {
-    let mut chunks = out.chunks_exact_mut(32);
-    let mut e = start_entry;
-    for chunk in &mut chunks {
-        let word = entry_word(packed, e);
-        for (q, eight) in chunk.chunks_exact_mut(8).enumerate() {
-            let bits = (word >> (16 * q)) as u16; // rpr-check: allow(truncating-cast): keeps exactly the quarter word (8 entries) this step spreads
-            eight.copy_from_slice(&spread_entries(bits).to_le_bytes());
-        }
-        e += 32;
-    }
-    let word = entry_word(packed, e);
-    for (k, slot) in chunks.into_remainder().iter_mut().enumerate() {
-        *slot = ((word >> (2 * k)) & 0b11) as u8; // rpr-check: allow(truncating-cast): masked to 2 bits
-    }
-}
-
-/// Per-entry reference implementation of [`unpack_mask_row`].
-pub fn unpack_mask_row_scalar(packed: &[u8], start_entry: usize, out: &mut [u8]) {
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = entry_at(packed, start_entry + k);
     }
 }
 

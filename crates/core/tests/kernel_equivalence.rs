@@ -162,17 +162,6 @@ proptest! {
         prop_assert_eq!(n_fast, n_slow);
         prop_assert_eq!(fast, slow);
     }
-
-    /// The word-wide mask unpacker matches the per-entry unpacker from
-    /// any 2-bit phase, past the end of the packed bytes included.
-    #[test]
-    fn mask_unpack_equals_scalar((packed, start, len) in packed_window()) {
-        let mut fast = vec![0xA5u8; len];
-        let mut slow = vec![0x5Au8; len];
-        kernels::unpack_mask_row(&packed, start, &mut fast);
-        kernels::unpack_mask_row_scalar(&packed, start, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
 }
 
 /// Spans that touch, written one after another, equal the same spans

@@ -10,12 +10,23 @@
 //! and the task's three vectors (scored detections, ground truth and
 //! the feedback it hands on).
 //!
+//! A second test holds the decoder alone to its one allocation a frame:
+//! on a pool shared with the encoder, a warm `SoftwareDecoder` whose
+//! planes are dropped allocates exactly its plane per frame, over
+//! full-frame, stride-2 and skipped pose frames, and the encoder none.
+//!
 //! It lives in its own test binary because the tallying allocator is
 //! process-wide: other tests' allocations would bleed into the tally.
+//! The two tests here take one lock, so they never overlap either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
+use rhythmic_pixel_regions::core::{
+    BufferPool, EncoderConfig, ReconstructionMode, RegionLabel, RegionList, RhythmicEncoder,
+    SoftwareDecoder,
+};
 use rhythmic_pixel_regions::frame::GrayFrame;
 use rhythmic_pixel_regions::stream::{CaptureStage, Feedback, TaskStage};
 use rhythmic_pixel_regions::workloads::datasets::VideoDataset;
@@ -52,6 +63,10 @@ unsafe impl GlobalAlloc for TallyingAllocator {
 #[global_allocator]
 static GLOBAL: TallyingAllocator = TallyingAllocator;
 
+/// Held by each test for its whole run, so one test's allocations
+/// never land in the other's tally.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const W: u32 = 256;
 const H: u32 = 192;
 /// Seventeen policy cycles (`Rp { cycle_length: 5 }`). The shared
@@ -68,6 +83,7 @@ const BUDGET_PER_FRAME: u64 = 5;
 
 #[test]
 fn pose_camera_path_stays_within_five_allocations_per_frame() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let frames_total = WARMUP + WINDOW * WINDOWS;
     let ds = PoseDataset::new(W, H, frames_total, 7);
     // Rendered up front, so frame synthesis stays out of the tally.
@@ -105,5 +121,56 @@ fn pose_camera_path_stays_within_five_allocations_per_frame() {
         "the pose camera path allocated {windows:?} times in {WINDOWS} windows of {WINDOW} \
          frames; the budget is {BUDGET_PER_FRAME} a frame ({} a window)",
         BUDGET_PER_FRAME * WINDOW as u64
+    );
+}
+
+#[test]
+fn warm_decoder_allocates_only_its_plane_on_pose_frames() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ds = PoseDataset::new(W, H, 8, 11);
+    let frames: Vec<GrayFrame> = (0..8).map(|i| ds.frame(i)).collect();
+    let full = RegionList::full_frame(W, H);
+    let body = RegionList::new(W, H, vec![RegionLabel::new(61, 17, 130, 150, 2, 2)])
+        .expect("in-frame region");
+    let kinds = [&full, &body, &body];
+    let pool = BufferPool::new();
+    let mut enc = RhythmicEncoder::with_pool(W, H, EncoderConfig::default(), pool.clone());
+    let mut dec = SoftwareDecoder::with_pool(W, H, ReconstructionMode::BlockNearest, pool);
+    let mut idx = 0u64;
+    // One frame through the pair, the plane dropped as the task drops
+    // it; returns the (encode, decode) allocation counts.
+    let mut step = || {
+        let frame = &frames[idx as usize % frames.len()];
+        // Every third frame is a full capture; the others carry the
+        // skip-2 region, sampled on even frame indices, skipped on odd.
+        let regions = kinds[idx as usize % 3];
+        let a = ALLOC_CALLS.load(Ordering::Relaxed);
+        let encoded = enc.encode(frame, idx, regions);
+        let b = ALLOC_CALLS.load(Ordering::Relaxed);
+        drop(dec.decode_owned(encoded));
+        let c = ALLOC_CALLS.load(Ordering::Relaxed);
+        idx += 1;
+        (b - a, c - b)
+    };
+    for _ in 0..24 {
+        step();
+    }
+    // As above: one clean window in five.
+    const FRAMES: u64 = 30;
+    let mut windows = Vec::with_capacity(WINDOWS);
+    for _ in 0..WINDOWS {
+        let mut tally = (0, 0);
+        for _ in 0..FRAMES {
+            let (e, d) = step();
+            tally = (tally.0 + e, tally.1 + d);
+        }
+        windows.push(tally);
+        if tally == (0, FRAMES) {
+            return;
+        }
+    }
+    panic!(
+        "(encode, decode) allocations in {WINDOWS} windows of {FRAMES} pose frames: {windows:?}; \
+         want no encode allocations and exactly one decoded plane per frame"
     );
 }

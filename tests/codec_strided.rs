@@ -3,8 +3,8 @@
 //!
 //! `RhythmicEncoder` encodes a row span by span when its regions'
 //! spans are disjoint and merges overlapping spans in priority space;
-//! `SoftwareDecoder` decodes uniform mask words in bulk and mixed ones
-//! a pixel at a time. Each must stay byte-identical to the per-pixel
+//! `SoftwareDecoder` decodes repeated mask bytes in bulk and other
+//! bytes a pixel at a time. Each must stay byte-identical to the per-pixel
 //! `StreamingEncoder` and `ReferenceDecoder`, and the encoder's
 //! `EncoderStats` must equal the counts a per-pixel pass implies
 //! (they model the paper's Table 5 and §6.2 work numbers).
