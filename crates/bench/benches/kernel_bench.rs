@@ -128,7 +128,7 @@ fn bench_wire_kernels(c: &mut Criterion) {
     let mut compressed = Vec::new();
     rle::compress(&mask, PIXELS, &mut compressed);
 
-    let mut group = c.benchmark_group("kernel/rle_compress");
+    let mut group = c.benchmark_group("kernel/mask_compress");
     configure(&mut group);
     group.throughput(Throughput::Bytes(mask.len() as u64));
     let mut out = Vec::new();
@@ -148,7 +148,7 @@ fn bench_wire_kernels(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("kernel/rle_inflate");
+    let mut group = c.benchmark_group("kernel/mask_inflate");
     configure(&mut group);
     group.throughput(Throughput::Bytes(mask.len() as u64));
     let mut packed = Vec::new();

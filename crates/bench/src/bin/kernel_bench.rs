@@ -203,13 +203,14 @@ fn main() {
         });
     }
 
-    // RLE mask coding, both directions.
+    // Mask-run coding, both directions, against the per-entry
+    // references.
     {
         let mut out = Vec::new();
         rle::compress(&mask_bytes, pixels, &mut out);
         let compressed = out.clone();
         runs.push(Pair {
-            kernel: "rle_compress",
+            kernel: "mask_compress",
             scalar_mb_s: mb_per_s(mask_bytes.len(), || {
                 out.clear();
                 rle::compress_scalar(&mask_bytes, pixels, &mut out);
@@ -223,13 +224,13 @@ fn main() {
         });
         let mut packed = Vec::new();
         runs.push(Pair {
-            kernel: "rle_inflate",
+            kernel: "mask_inflate",
             scalar_mb_s: mb_per_s(mask_bytes.len(), || {
-                let v = rle::inflate_scalar(&compressed, pixels).expect("own compression");
+                let v = rle::inflate_scalar(&compressed, pixels).expect("own runs");
                 std::hint::black_box(v.len());
             }),
             chunked_mb_s: mb_per_s(mask_bytes.len(), || {
-                rle::inflate_into(&compressed, pixels, &mut packed).expect("own compression");
+                rle::inflate_into(&compressed, pixels, &mut packed).expect("own runs");
                 std::hint::black_box(packed.len());
             }),
         });

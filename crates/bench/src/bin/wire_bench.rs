@@ -1,17 +1,22 @@
 //! Wire-format size and replay accounting: records each workload's
 //! rhythmic capture stream into an in-memory `.rpr` container and
-//! reports what the mask coding bought — RLE-coded mask bytes vs the
+//! reports what the mask coding bought — run-coded mask bytes vs the
 //! raw 2-bit-per-pixel mask — plus container overhead and read/replay
 //! timings.
 //!
 //! Usage:
 //!
 //! ```text
-//! wire_bench [--frames N] [--out FILE]
+//! wire_bench [--frames N] [--out FILE] [--check FILE]
 //! ```
 //!
 //! With `--out`, writes the full JSON record — that is how
-//! `BENCH_wire.json` at the repo root is produced.
+//! `BENCH_wire.json` at the repo root is produced. With `--check`, it
+//! compares each run against the same workload and cycle length in a
+//! committed record and exits 1 when any run's `container_bytes` or
+//! `mask_bytes_written` grew. The sizes are seeded and exact, so the
+//! bound has no slack; the record must have been made at the same
+//! scale and frame count.
 
 use rpr_bench::{print_table, Scale};
 use rpr_wire::{read_all, WriterStats};
@@ -19,15 +24,17 @@ use rpr_workloads::{
     record_face, record_pose, record_slam, replay_task_inputs, Baseline, FaceDataset,
     PipelineConfig, PoseDataset, SlamDataset,
 };
+use serde::Deserialize;
 use std::time::Instant;
 
 struct Args {
     frames: usize,
     out: Option<String>,
+    check: Option<String>,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { frames: Scale::from_env().frames, out: None };
+    let mut args = Args { frames: Scale::from_env().frames, out: None, check: None };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -44,8 +51,9 @@ fn parse_args() -> Args {
                 });
             }
             "--out" => args.out = Some(value("--out")),
+            "--check" => args.check = Some(value("--check")),
             "--help" | "-h" => {
-                println!("wire_bench [--frames N] [--out FILE]");
+                println!("wire_bench [--frames N] [--out FILE] [--check FILE]");
                 std::process::exit(0);
             }
             other => {
@@ -108,11 +116,11 @@ fn run_json(run: &Run) -> serde_json::Value {
         "frames": s.frames,
         "payload_bytes": s.payload_bytes,
         "raw_mask_bytes": s.raw_mask_bytes,
-        "rle_mask_bytes": s.rle_mask_bytes,
+        "run_mask_bytes": s.run_mask_bytes,
         "mask_bytes_written": s.mask_bytes_written,
-        "rle_frames": s.rle_frames,
+        "run_frames": s.run_frames,
         "container_bytes": s.container_bytes,
-        "mask_compression": s.rle_mask_bytes as f64 / (s.raw_mask_bytes.max(1)) as f64,
+        "mask_compression": s.run_mask_bytes as f64 / (s.raw_mask_bytes.max(1)) as f64,
         "container_overhead": s.container_bytes as f64
             / (s.payload_bytes + s.mask_bytes_written).max(1) as f64,
         "read_s": run.read_s,
@@ -142,9 +150,9 @@ fn main() {
                 s.frames.to_string(),
                 s.payload_bytes.to_string(),
                 s.raw_mask_bytes.to_string(),
-                s.rle_mask_bytes.to_string(),
-                format!("{:.2}x", s.raw_mask_bytes as f64 / s.rle_mask_bytes.max(1) as f64),
-                format!("{}/{}", s.rle_frames, s.frames),
+                s.run_mask_bytes.to_string(),
+                format!("{:.2}x", s.raw_mask_bytes as f64 / s.run_mask_bytes.max(1) as f64),
+                format!("{}/{}", s.run_frames, s.frames),
                 s.container_bytes.to_string(),
             ]
         })
@@ -157,9 +165,9 @@ fn main() {
             "frames",
             "payload B",
             "raw mask B",
-            "rle mask B",
+            "run mask B",
             "mask ratio",
-            "rle frames",
+            "run frames",
             "container B",
         ],
         &rows,
@@ -172,6 +180,12 @@ fn main() {
         "frames_per_run": args.frames,
         "runs": runs.iter().map(run_json).collect::<Vec<_>>(),
     });
+    // Read the committed record before `--out` can overwrite it: CI
+    // names the same file for both.
+    let failures = match &args.check {
+        Some(path) => check_sizes(path, &runs),
+        None => Vec::new(),
+    };
     let pretty = serde_json::to_string_pretty(&record).expect("record serializes");
     match &args.out {
         Some(path) => {
@@ -183,4 +197,65 @@ fn main() {
         }
         None => println!("\n{pretty}"),
     }
+    if let Some(path) = &args.check {
+        if !failures.is_empty() {
+            for f in &failures {
+                eprintln!("wire size check failed: {f}");
+            }
+            std::process::exit(1);
+        }
+        println!("wire sizes within {path}");
+    }
+}
+
+/// The part of a committed `BENCH_wire.json` that `--check` reads.
+#[derive(Deserialize)]
+struct Committed {
+    runs: Vec<CommittedRun>,
+}
+
+/// One committed run's key and its two bounded sizes.
+#[derive(Deserialize)]
+struct CommittedRun {
+    workload: String,
+    cycle_length: u64,
+    container_bytes: u64,
+    mask_bytes_written: u64,
+}
+
+/// Every run whose `container_bytes` or `mask_bytes_written` exceeds
+/// the same run's value in the committed record at `path`, described
+/// for the log. The sizes are seeded and exact, so any growth is a
+/// change in the format or the recorded streams. A run missing from
+/// the record, or a record that cannot be read, is a failure too.
+fn check_sizes(path: &str, runs: &[Run]) -> Vec<String> {
+    let committed: Committed = match std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
+    {
+        Ok(c) => c,
+        Err(e) => return vec![format!("cannot read {path}: {e}")],
+    };
+    let mut failures = Vec::new();
+    for run in runs {
+        let name = format!("{} RP{}", run.workload, run.cycle_length);
+        let Some(old) = committed
+            .runs
+            .iter()
+            .find(|c| c.workload == run.workload && c.cycle_length == run.cycle_length)
+        else {
+            failures.push(format!("{name} is not in {path}"));
+            continue;
+        };
+        let sizes = [
+            ("container_bytes", run.stats.container_bytes, old.container_bytes),
+            ("mask_bytes_written", run.stats.mask_bytes_written, old.mask_bytes_written),
+        ];
+        for (field, new, was) in sizes {
+            if new > was {
+                failures.push(format!("{name} {field}: {new} > {was}"));
+            }
+        }
+    }
+    failures
 }

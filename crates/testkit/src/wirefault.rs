@@ -6,13 +6,13 @@
 //! wire format's three defence layers (chunk CRC, structural parse,
 //! frame digest). The layered kinds
 //! ([`WireFaultKind::FrameBodyFlipCrcFixed`],
-//! [`WireFaultKind::CorruptRleRun`],
+//! [`WireFaultKind::CorruptMaskRun`],
 //! [`WireFaultKind::StaleIndexEntry`]) deliberately *repair* the
 //! transport CRC after mutating, so only the deeper layer can catch
 //! them — exactly the forged-checksum scenario the digest exists for.
 //!
 //! [`WireFaultKind::inject`] returns `None` when the container cannot
-//! host the fault (e.g. no RLE-coded frame for a run corruption, or
+//! host the fault (e.g. no run-coded mask for a run corruption, or
 //! fewer than two distinct frames for a stale index entry); the
 //! conformance runner skips those draws rather than counting a no-op.
 
@@ -45,10 +45,13 @@ pub enum WireFaultKind {
     /// desynchronizing the chunk framing. Caught by truncation, CRC,
     /// or index cross-checks.
     ChunkLenCorrupt,
-    /// Flip one bit inside an RLE-coded mask *and repair the chunk
-    /// CRC*, so only the deep parser (`BadRle`) or the frame digest
-    /// can catch it. `None` when no frame chose RLE coding.
-    CorruptRleRun,
+    /// Flip one bit of one run of a run-coded mask *and repair the
+    /// chunk CRC*, so only the deep parser (`BadRle`), the derived
+    /// offset total or the frame digest can catch it. The bit lands,
+    /// with equal odds, in the run's length, in its 3-bit code, or in
+    /// its pattern byte (when the mask has a pattern run). `None` when
+    /// no frame chose run coding.
+    CorruptMaskRun,
     /// Flip one bit anywhere in a frame blob *and repair the chunk
     /// CRC* — the forged-checksum scenario. Caught by the structural
     /// parse or the frame integrity digest.
@@ -70,7 +73,7 @@ pub const ALL_WIRE_FAULTS: [WireFaultKind; 9] = [
     WireFaultKind::ChunkCrcFlip,
     WireFaultKind::ChunkPayloadFlip,
     WireFaultKind::ChunkLenCorrupt,
-    WireFaultKind::CorruptRleRun,
+    WireFaultKind::CorruptMaskRun,
     WireFaultKind::FrameBodyFlipCrcFixed,
     WireFaultKind::StaleIndexEntry,
     WireFaultKind::TrailerCorrupt,
@@ -85,7 +88,7 @@ impl WireFaultKind {
             WireFaultKind::ChunkCrcFlip => "chunk-crc-flip",
             WireFaultKind::ChunkPayloadFlip => "chunk-payload-flip",
             WireFaultKind::ChunkLenCorrupt => "chunk-len-corrupt",
-            WireFaultKind::CorruptRleRun => "corrupt-rle-run",
+            WireFaultKind::CorruptMaskRun => "corrupt-mask-run",
             WireFaultKind::FrameBodyFlipCrcFixed => "frame-body-flip-crc-fixed",
             WireFaultKind::StaleIndexEntry => "stale-index-entry",
             WireFaultKind::TrailerCorrupt => "trailer-corrupt",
@@ -131,30 +134,8 @@ impl WireFaultKind {
                 flip_bit(&mut out, c.offset + 1 + rng.range_usize(0, 3), rng);
                 Some(out)
             }
-            WireFaultKind::CorruptRleRun => {
-                let hosts: Vec<&RawChunk> = chunks
-                    .iter()
-                    .filter(|c| {
-                        c.kind == CHUNK_FRAME
-                            && c.payload.len() > MASK_ENCODING_OFFSET
-                            && container.get(c.payload.start + MASK_ENCODING_OFFSET) == Some(&1)
-                    })
-                    .collect();
-                if hosts.is_empty() {
-                    return None;
-                }
-                let c = rng.pick(&hosts);
-                let blob = container.get(c.payload.clone())?;
-                let mut pos = MASK_ENCODING_OFFSET + 1;
-                let mask_len =
-                    usize::try_from(read_varint(blob, &mut pos, "rle mask length").ok()?).ok()?;
-                if mask_len == 0 || pos + mask_len > blob.len() {
-                    return None;
-                }
-                let target = c.payload.start + pos + rng.range_usize(0, mask_len - 1);
-                flip_bit(&mut out, target, rng);
-                rewrite_chunk_crc(&mut out, c.offset).ok()?;
-                Some(out)
+            WireFaultKind::CorruptMaskRun => {
+                corrupt_mask_run(container, &chunks, rng).map(|(bytes, _)| bytes)
             }
             WireFaultKind::FrameBodyFlipCrcFixed => {
                 let hosts: Vec<&RawChunk> =
@@ -221,6 +202,90 @@ impl WireFaultKind {
     }
 }
 
+/// The part of a mask run a [`WireFaultKind::CorruptMaskRun`] flips.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunPart {
+    /// A length bit of the run's varint.
+    Length,
+    /// One of the three code bits of the varint's first byte.
+    Code,
+    /// A bit of the pattern byte after a code-4 run.
+    Pattern,
+}
+
+/// One run of a coded mask: where its varint starts and ends, and
+/// where its pattern byte sits (code-4 runs only).
+struct RunSpan {
+    varint: std::ops::Range<usize>,
+    pattern: Option<usize>,
+}
+
+/// The runs of the run-coded mask `runs`, up to the first malformed
+/// varint.
+fn run_spans(runs: &[u8]) -> Vec<RunSpan> {
+    let mut spans = Vec::new();
+    let mut pos = 0;
+    while pos < runs.len() {
+        let start = pos;
+        let Ok(v) = read_varint(runs, &mut pos, "mask run") else { break };
+        let pattern = (v & 0b111 == 4 && pos < runs.len()).then_some(pos);
+        spans.push(RunSpan { varint: start..pos, pattern });
+        pos += usize::from(pattern.is_some());
+    }
+    spans
+}
+
+/// Flips one bit of one run in a run-coded frame mask of `container`
+/// and repairs the chunk CRC, returning the bytes and the part hit.
+fn corrupt_mask_run(
+    container: &[u8],
+    chunks: &[RawChunk],
+    rng: &mut TestRng,
+) -> Option<(Vec<u8>, RunPart)> {
+    let hosts: Vec<&RawChunk> = chunks
+        .iter()
+        .filter(|c| {
+            c.kind == CHUNK_FRAME
+                && c.payload.len() > MASK_ENCODING_OFFSET
+                && container.get(c.payload.start + MASK_ENCODING_OFFSET) == Some(&1)
+        })
+        .collect();
+    if hosts.is_empty() {
+        return None;
+    }
+    let c = rng.pick(&hosts);
+    let blob = container.get(c.payload.clone())?;
+    let mut pos = MASK_ENCODING_OFFSET + 1;
+    let mask_len = usize::try_from(read_varint(blob, &mut pos, "mask length").ok()?).ok()?;
+    let runs = blob.get(pos..pos.checked_add(mask_len)?)?;
+    let spans = run_spans(runs);
+    if spans.is_empty() {
+        return None;
+    }
+    let patterns: Vec<usize> = spans.iter().filter_map(|s| s.pattern).collect();
+    let part = match rng.range_u32(0, 2) {
+        2 if !patterns.is_empty() => RunPart::Pattern,
+        1 => RunPart::Code,
+        _ => RunPart::Length,
+    };
+    let span = rng.pick(&spans);
+    let (at, bit) = match part {
+        RunPart::Pattern => (*rng.pick(&patterns), rng.range_u32(0, 7)),
+        RunPart::Code => (span.varint.start, rng.range_u32(0, 2)),
+        RunPart::Length => {
+            // The first byte holds length bits 3..=6 and the
+            // continuation bit; later bytes hold only length bits.
+            let at = rng.range_usize(span.varint.start, span.varint.end - 1);
+            let low = if at == span.varint.start { 3 } else { 0 };
+            (at, rng.range_u32(low, 7))
+        }
+    };
+    let mut out = container.to_vec();
+    *out.get_mut(c.payload.start + pos + at)? ^= 1 << bit;
+    rewrite_chunk_crc(&mut out, c.offset).ok()?;
+    Some((out, part))
+}
+
 fn flip_bit(bytes: &mut [u8], i: usize, rng: &mut TestRng) {
     // Out-of-range draws are silently skipped; every caller picks `i`
     // inside a chunk range validated by `list_chunks`.
@@ -281,6 +346,26 @@ mod tests {
         let container = write_container(std::slice::from_ref(&frame)).unwrap();
         let mut rng = TestRng::new(4);
         assert!(WireFaultKind::StaleIndexEntry.inject(&container, &mut rng).is_none());
+    }
+
+    #[test]
+    fn mask_run_faults_hit_lengths_codes_and_pattern_bytes_and_are_caught() {
+        let container = sample_container();
+        let chunks = list_chunks(&container).unwrap();
+        let frames = rpr_wire::read_all(&container).unwrap();
+        let mut hit = Vec::new();
+        for seed in 0..200 {
+            let mut rng = TestRng::new(seed);
+            let (faulty, part) = corrupt_mask_run(&container, &chunks, &mut rng).unwrap();
+            assert!(list_chunks(&faulty).is_ok(), "the chunk CRC is repaired");
+            if let Ok(back) = rpr_wire::read_all(&faulty) {
+                assert_eq!(back, frames, "seed {seed}: {part:?} flip read back different frames");
+            }
+            if !hit.contains(&part) {
+                hit.push(part);
+            }
+        }
+        assert_eq!(hit.len(), 3, "every part of a run is hit: {hit:?}");
     }
 
     #[test]

@@ -35,10 +35,12 @@ use crate::{Result, WireError};
 pub const FILE_MAGIC: [u8; 8] = *b"RPRWIRE1";
 /// Trailer magic (last four bytes of every finished container).
 pub const TRAILER_MAGIC: [u8; 4] = *b"RPRX";
-/// Container format version this crate reads and writes. Version 2
-/// replaced version 1's byte-serial FNV-1a frame digest with the
-/// word-at-a-time one; the byte layout is unchanged.
-pub const FORMAT_VERSION: u16 = 2;
+/// Container format version this crate reads and writes. Version 3
+/// codes the mask by pattern runs ([`crate::rle`]) and drops the
+/// row-offset table from the frame blob; version 2 had replaced
+/// version 1's byte-serial FNV-1a frame digest with the word-at-a-time
+/// one. Older files are refused with [`WireError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u16 = 3;
 /// Size of the file header in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Size of a chunk header (kind + payload_len + crc32).
@@ -66,7 +68,7 @@ pub struct FrameEntry {
 }
 
 /// Aggregate size accounting from a [`ContainerWriter`], the numbers
-/// behind `BENCH_wire.json`'s RLE-vs-raw comparison.
+/// behind `BENCH_wire.json`'s runs-vs-raw comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WriterStats {
     /// Frames appended.
@@ -75,12 +77,13 @@ pub struct WriterStats {
     pub payload_bytes: u64,
     /// Sum of packed 2-bit mask sizes (what raw coding would store).
     pub raw_mask_bytes: u64,
-    /// Sum of RLE-coded mask sizes (whether or not RLE was chosen).
-    pub rle_mask_bytes: u64,
+    /// Sum of run-coded mask sizes (whether or not the runs were
+    /// kept; see [`crate::FrameEncodeStats::run_mask_bytes`]).
+    pub run_mask_bytes: u64,
     /// Mask bytes actually written.
     pub mask_bytes_written: u64,
-    /// Frames whose mask was RLE-coded.
-    pub rle_frames: u64,
+    /// Frames whose mask was run-coded.
+    pub run_frames: u64,
     /// Total container size, header through trailer.
     pub container_bytes: u64,
 }
@@ -176,9 +179,9 @@ impl<W: Write> ContainerWriter<W> {
         self.stats.frames += 1;
         self.stats.payload_bytes += frame_stats.payload_bytes as u64;
         self.stats.raw_mask_bytes += frame_stats.raw_mask_bytes as u64;
-        self.stats.rle_mask_bytes += frame_stats.rle_mask_bytes as u64;
+        self.stats.run_mask_bytes += frame_stats.run_mask_bytes as u64;
         self.stats.mask_bytes_written += frame_stats.mask_bytes as u64;
-        self.stats.rle_frames += u64::from(frame_stats.mask_rle);
+        self.stats.run_frames += u64::from(frame_stats.mask_runs);
         Ok(())
     }
 
@@ -563,7 +566,7 @@ pub fn list_chunks(bytes: &[u8]) -> Result<Vec<RawChunk>> {
 
 /// Recomputes and stores the CRC of the chunk whose header starts at
 /// `chunk_offset` — how fault injectors make a *content* corruption
-/// survive the transport checksum (e.g. a corrupted RLE run that the
+/// survive the transport checksum (e.g. a corrupted mask run that the
 /// deep parser, not the CRC, must catch).
 ///
 /// # Errors
@@ -723,20 +726,23 @@ mod tests {
     }
 
     #[test]
-    fn version_1_containers_are_refused_with_a_typed_error() {
-        // Version 1 sealed frames with FNV-1a; its files must fail on
-        // the version, not with a digest mismatch on every frame.
-        let mut old = write_container(&sample_frames()).unwrap();
-        old[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let crc = crc32(&old[0..12]);
-        old[12..16].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            ContainerReader::open(&old),
-            Err(WireError::UnsupportedVersion { version: 1 })
-        ));
-        let mut dec = crate::StreamDecoder::new();
-        dec.push(&old);
-        assert!(matches!(dec.next_event(), Err(WireError::UnsupportedVersion { version: 1 })));
+    fn older_versions_are_refused_with_a_typed_error() {
+        // Version 1 sealed frames with FNV-1a and version 2 coded the
+        // mask by entry runs beside an offset table; their files must
+        // fail on the version, not as corrupt frames.
+        for version in [1u16, 2] {
+            let mut old = write_container(&sample_frames()).unwrap();
+            old[8..10].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&old[0..12]);
+            old[12..16].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                ContainerReader::open(&old).err(),
+                Some(WireError::UnsupportedVersion { version })
+            );
+            let mut dec = crate::StreamDecoder::new();
+            dec.push(&old);
+            assert_eq!(dec.next_event().err(), Some(WireError::UnsupportedVersion { version }));
+        }
     }
 
     #[test]

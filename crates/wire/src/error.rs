@@ -67,8 +67,9 @@ pub enum WireError {
         /// Which field was being decoded.
         what: &'static str,
     },
-    /// The RLE-compressed EncMask is malformed (zero-length run, runs
-    /// not summing to the pixel count, or trailing bytes).
+    /// The run-coded EncMask is malformed (zero-length run, reserved
+    /// code, missing pattern byte, repeat before any pattern, or runs
+    /// not summing to the pixel count).
     BadRle {
         /// Human-readable description of the defect.
         reason: String,
@@ -131,7 +132,7 @@ impl fmt::Display for WireError {
                 "{what} checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
             ),
             WireError::BadVarint { what } => write!(f, "malformed varint in {what}"),
-            WireError::BadRle { reason } => write!(f, "malformed RLE mask: {reason}"),
+            WireError::BadRle { reason } => write!(f, "malformed mask runs: {reason}"),
             WireError::BadChunk { reason } => write!(f, "malformed chunk: {reason}"),
             WireError::BadIndex { reason } => write!(f, "malformed frame index: {reason}"),
             WireError::LimitExceeded { what, value, limit } => {

@@ -11,22 +11,22 @@
 //!     16     8  integrity    u64 LE  (word-at-a-time frame digest,
 //!                                    carried verbatim; see
 //!                                    `EncodedFrame::compute_integrity`)
-//!     24     1  mask_encoding: 0 = raw packed 2-bit, 1 = RLE
+//!     24     1  mask_encoding: 0 = raw packed 2-bit, 1 = mask runs
 //!     25     —  mask_len     varint, then mask_len mask bytes
-//!      …     —  rows         varint  (must equal height)
-//!      …     —  row offsets: offsets[0] varint, then `rows` deltas
 //!      …     —  payload_len  varint, then payload_len payload bytes
 //! ```
 //!
 //! The payload sits last and unencoded so a parsed
 //! [`EncodedFrameView`] can borrow it straight out of the input slice;
 //! when the mask is raw-encoded the view borrows that too (the
-//! `Cow::Borrowed` zero-copy path). Row offsets are delta-coded
-//! varints, which makes non-monotonic tables unrepresentable on the
-//! wire and typically shrinks the 4-byte-per-row table to ~1 byte/row.
+//! `Cow::Borrowed` zero-copy path). The blob carries no row-offset
+//! table: a valid frame's table is the running count of `R` entries
+//! per mask row, so the parser derives it from the mask and refuses a
+//! blob whose derived total disagrees with `payload_len`.
 
 use std::borrow::Cow;
 
+use rpr_core::kernels::count_regional;
 use rpr_core::{EncMask, EncodedFrame, FrameMetadata, RowOffsets};
 
 use crate::varint::{read_varint, write_varint};
@@ -51,28 +51,29 @@ pub enum MaskCodec {
     Auto,
     /// Always store the packed 2-bit bytes verbatim.
     Raw,
-    /// Always run-length code (falls back to raw for the rare mask
-    /// whose trailing padding bits are non-canonical, since RLE cannot
-    /// represent them and byte-identity would be lost).
+    /// Always run-code ([`crate::rle`]; falls back to raw for the rare
+    /// mask whose trailing padding bits are non-canonical, since runs
+    /// cannot represent them and byte-identity would be lost).
     Rle,
 }
 
 const MASK_ENC_RAW: u8 = 0;
-const MASK_ENC_RLE: u8 = 1;
+const MASK_ENC_RUNS: u8 = 1;
 
 /// Size accounting for one encoded frame blob, the raw material of the
-/// `wire_roundtrip` bench's RLE-vs-raw comparison.
+/// `wire_roundtrip` bench's runs-vs-raw comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameEncodeStats {
     /// Size of the packed 2-bit mask (what raw encoding would store).
     pub raw_mask_bytes: usize,
-    /// Size the RLE coding of the same mask occupies.
-    pub rle_mask_bytes: usize,
-    /// Mask bytes actually written (min of the two under
+    /// Size the run coding of the same mask occupies; 0 when the runs
+    /// were not written ([`MaskCodec::Raw`], or a non-canonical tail).
+    pub run_mask_bytes: usize,
+    /// Mask bytes actually written (the smaller of the two under
     /// [`MaskCodec::Auto`]).
     pub mask_bytes: usize,
-    /// True when the written mask is RLE-coded.
-    pub mask_rle: bool,
+    /// True when the written mask is run-coded.
+    pub mask_runs: bool,
     /// Payload bytes written.
     pub payload_bytes: usize,
     /// Total blob size including the fixed header and varints.
@@ -80,7 +81,7 @@ pub struct FrameEncodeStats {
 }
 
 /// True when the unused high bits of the last packed byte are zero —
-/// the canonical layout [`EncMask::new`] maintains. RLE can only
+/// the canonical layout [`EncMask::new`] maintains. Runs can only
 /// reproduce canonical tails, so non-canonical masks are stored raw.
 fn tail_is_canonical(packed: &[u8], pixels: usize) -> bool {
     let rem = pixels % 4;
@@ -97,8 +98,10 @@ fn tail_is_canonical(packed: &[u8], pixels: usize) -> bool {
 ///
 /// The frame must pass [`EncodedFrame::validate`]: the wire format
 /// only carries self-consistent frames, so every parse failure on the
-/// read side is genuine corruption rather than a sloppy writer. A frame
-/// marked validated (encoder output, or a frame read back through
+/// read side is genuine corruption rather than a sloppy writer. It is
+/// also why the row-offset table stays off the wire: a valid frame's
+/// table is the one its mask implies. A frame marked validated
+/// (encoder output, or a frame read back through
 /// [`EncodedFrameView::to_validated_frame`]) is not checked again.
 ///
 /// # Errors
@@ -125,36 +128,29 @@ pub fn encode_frame(
         "frame pixel count",
     )?;
     let raw_mask_bytes = mask.len();
-    let rle_mask_bytes = rle::compressed_len(mask, pixels);
-    let rle_ok = tail_is_canonical(mask, pixels);
-    let use_rle = match codec {
-        MaskCodec::Auto => rle_ok && rle_mask_bytes < raw_mask_bytes,
-        MaskCodec::Raw => false,
-        MaskCodec::Rle => rle_ok,
-    };
-
-    let mask_bytes = if use_rle {
-        out.push(MASK_ENC_RLE);
-        write_varint(out, rle_mask_bytes as u64);
-        rle::compress(mask, pixels, out)
-    } else {
+    let mut run_mask_bytes = 0;
+    let mut mask_runs = false;
+    if codec != MaskCodec::Raw && tail_is_canonical(mask, pixels) {
+        // Write the runs once, straight into `out`, then slide the
+        // length varint in front of them; refused runs are cut off.
+        let encoding_at = out.len();
+        out.push(MASK_ENC_RUNS);
+        let runs_at = out.len();
+        run_mask_bytes = rle::compress(mask, pixels, out);
+        mask_runs = codec == MaskCodec::Rle || run_mask_bytes < raw_mask_bytes;
+        if mask_runs {
+            let len_bytes = write_varint(out, run_mask_bytes as u64);
+            if let Some(tail) = out.get_mut(runs_at..) {
+                tail.rotate_right(len_bytes);
+            }
+        } else {
+            out.truncate(encoding_at);
+        }
+    }
+    if !mask_runs {
         out.push(MASK_ENC_RAW);
         write_varint(out, raw_mask_bytes as u64);
         out.extend_from_slice(mask);
-        raw_mask_bytes
-    };
-
-    let offsets = frame.metadata().row_offsets.as_slice();
-    write_varint(out, u64::from(frame.height()));
-    let first = offsets.first().copied().ok_or_else(|| WireError::InvalidFrame {
-        reason: "row-offset table is empty".into(),
-    })?;
-    write_varint(out, u64::from(first));
-    for w in offsets.windows(2) {
-        if let [lo, hi] = w {
-            // Non-negative by validate()'s monotonicity check.
-            write_varint(out, u64::from(hi - lo));
-        }
     }
 
     let payload = frame.pixels();
@@ -163,9 +159,9 @@ pub fn encode_frame(
 
     Ok(FrameEncodeStats {
         raw_mask_bytes,
-        rle_mask_bytes,
-        mask_bytes,
-        mask_rle: use_rle,
+        run_mask_bytes,
+        mask_bytes: if mask_runs { run_mask_bytes } else { raw_mask_bytes },
+        mask_runs,
         payload_bytes: payload.len(),
         encoded_bytes: out.len() - start,
     })
@@ -175,9 +171,10 @@ pub fn encode_frame(
 ///
 /// The payload is always a borrow of the input; the mask is borrowed
 /// too when it was stored raw (`Cow::Borrowed`) and inflated into an
-/// owned buffer only when it was RLE-coded. Parsing performs the
-/// structural checks needed to make every accessor panic-free but does
-/// not verify the integrity digest — promote to an owned
+/// owned buffer only when it was run-coded. The row-offset table is
+/// derived from the mask. Parsing performs the structural checks
+/// needed to make every accessor panic-free but does not verify the
+/// integrity digest — promote to an owned
 /// [`EncodedFrame`] with [`EncodedFrameView::to_validated_frame`]
 /// before trusting the contents.
 #[derive(Debug, Clone)]
@@ -198,9 +195,9 @@ impl<'a> EncodedFrameView<'a> {
     /// # Errors
     ///
     /// A typed [`WireError`] for every malformation: truncation,
-    /// malformed varints, dimension/pixel-count limits, bad RLE, or
-    /// structurally inconsistent lengths. Never panics, whatever the
-    /// input bytes.
+    /// malformed varints, dimension/pixel-count limits, bad mask runs,
+    /// or a payload length other than the mask's `R` count. Never
+    /// panics, whatever the input bytes.
     pub fn parse_prefix(buf: &'a [u8]) -> Result<(Self, usize)> {
         if buf.len() < FRAME_HEADER_LEN {
             return Err(WireError::Truncated {
@@ -259,37 +256,13 @@ impl<'a> EncodedFrameView<'a> {
                 }
                 Cow::Borrowed(mask_bytes)
             }
-            MASK_ENC_RLE => Cow::Owned(rle::inflate(mask_bytes, pixels)?),
+            MASK_ENC_RUNS => Cow::Owned(rle::inflate(mask_bytes, pixels)?),
             other => {
                 return Err(WireError::CorruptFrame {
                     reason: format!("unknown mask encoding {other}"),
                 })
             }
         };
-
-        let rows = read_varint(buf, &mut pos, "row count")?;
-        if rows != u64::from(height) {
-            return Err(WireError::CorruptFrame {
-                reason: format!("offset table declares {rows} rows, frame has {height}"),
-            });
-        }
-        let row_count = bytes::usize_from(u64::from(height), "row count")?;
-        let mut row_offsets = Vec::with_capacity(row_count + 1);
-        let mut acc = read_varint(buf, &mut pos, "row offset base")?;
-        for _ in 0..=row_count {
-            let off = u32::try_from(acc).map_err(|_| WireError::CorruptFrame {
-                reason: format!("row offset {acc} overflows u32"),
-            })?;
-            row_offsets.push(off);
-            if row_offsets.len() <= row_count {
-                // checked_add: a forged delta near u64::MAX must be a
-                // typed error, not a debug-build overflow panic.
-                let delta = read_varint(buf, &mut pos, "row offset delta")?;
-                acc = acc.checked_add(delta).ok_or_else(|| WireError::CorruptFrame {
-                    reason: format!("row offset {acc} + delta {delta} overflows u64"),
-                })?;
-            }
-        }
 
         let payload_len = read_varint(buf, &mut pos, "payload length")?;
         if payload_len > MAX_PIXELS {
@@ -305,6 +278,15 @@ impl<'a> EncodedFrameView<'a> {
                 what: "frame payload",
                 needed: payload_len,
                 available,
+            });
+        }
+        let row_offsets = derive_row_offsets(&mask, width, height)?;
+        let derived = row_offsets.last().copied().map_or(0, u64::from);
+        if derived != payload_len {
+            return Err(WireError::CorruptFrame {
+                reason: format!(
+                    "mask holds {derived} regional pixels but the payload is {payload_len} bytes"
+                ),
             });
         }
         let payload_len = bytes::usize_from(payload_len, "payload length")?;
@@ -361,12 +343,13 @@ impl<'a> EncodedFrameView<'a> {
     }
 
     /// True when the mask bytes are a zero-copy borrow of the input
-    /// slice (raw mask encoding) rather than an inflated RLE buffer.
+    /// slice (raw mask encoding) rather than inflated mask runs.
     pub fn mask_is_borrowed(&self) -> bool {
         matches!(self.mask, Cow::Borrowed(_))
     }
 
-    /// The cumulative row-offset table (length `height + 1`).
+    /// The cumulative row-offset table (length `height + 1`), derived
+    /// from the mask at parse time.
     pub fn row_offsets(&self) -> &[u32] {
         &self.row_offsets
     }
@@ -396,7 +379,7 @@ impl<'a> EncodedFrameView<'a> {
     }
 
     /// [`EncodedFrameView::to_frame`] consuming the view: an inflated
-    /// (RLE-coded) mask and the parsed row-offset table move into the
+    /// (run-coded) mask and the derived row-offset table move into the
     /// frame; only a borrowed raw mask and the payload are copied.
     fn into_frame(self) -> EncodedFrame {
         let mask = EncMask::from_raw_bytes(self.width, self.height, self.mask.into_owned())
@@ -476,6 +459,25 @@ impl<'a> EncodedFrameView<'a> {
     }
 }
 
+/// The cumulative row-offset table a `width x height` mask implies:
+/// entry `y + 1` adds row `y`'s `R` count to entry `y`, starting at 0
+/// (the only table [`EncodedFrame::validate`] accepts).
+fn derive_row_offsets(mask: &[u8], width: u32, height: u32) -> Result<Vec<u32>> {
+    let width = bytes::usize_from(u64::from(width), "frame width")?;
+    let rows = bytes::usize_from(u64::from(height), "frame height")?;
+    let mut offsets = Vec::with_capacity(rows + 1);
+    let mut total = 0u64;
+    offsets.push(0);
+    for y in 0..rows {
+        total += count_regional(mask, y * width, width);
+        // At most width * height <= MAX_PIXELS, so it fits.
+        offsets.push(u32::try_from(total).map_err(|_| WireError::CorruptFrame {
+            reason: format!("row offset {total} overflows u32"),
+        })?);
+    }
+    Ok(offsets)
+}
+
 /// Validates a promoted frame, mapping the failure to a wire error.
 fn validated(frame: EncodedFrame) -> Result<EncodedFrame> {
     frame.validated().map_err(|e| WireError::CorruptFrame { reason: e.to_string() })
@@ -514,7 +516,7 @@ mod tests {
     fn roundtrip_auto_is_byte_identical() {
         let frame = sample_frame(42);
         let (buf, stats) = encode(&frame, MaskCodec::Auto);
-        assert!(stats.mask_rle, "runny sample mask should pick RLE");
+        assert!(stats.mask_runs, "runny sample mask should pick runs");
         let view = EncodedFrameView::parse(&buf).unwrap();
         assert_eq!(view.frame_idx(), 42);
         let back = view.to_validated_frame().unwrap();
@@ -527,7 +529,7 @@ mod tests {
     fn roundtrip_raw_is_byte_identical_and_zero_copy() {
         let frame = sample_frame(7);
         let (buf, stats) = encode(&frame, MaskCodec::Raw);
-        assert!(!stats.mask_rle);
+        assert!(!stats.mask_runs);
         assert_eq!(stats.mask_bytes, stats.raw_mask_bytes);
         let view = EncodedFrameView::parse(&buf).unwrap();
         assert!(view.mask_is_borrowed(), "raw mask must be a zero-copy borrow");
@@ -538,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn rle_view_inflates_mask() {
+    fn run_coded_view_inflates_mask() {
         let frame = sample_frame(1);
         let (buf, _) = encode(&frame, MaskCodec::Rle);
         let view = EncodedFrameView::parse(&buf).unwrap();
@@ -687,37 +689,48 @@ mod tests {
     }
 
     #[test]
-    fn row_offset_delta_overflowing_u64_is_a_typed_error() {
-        // Regression: `acc += delta` used to overflow-panic in debug
-        // builds when a forged delta varint pushed the accumulator past
-        // u64::MAX. Hand-build the blob: 4x2 frame, raw 2-byte mask,
-        // base offset at u32::MAX, first delta u64::MAX.
+    fn blob_is_header_mask_and_payload_with_no_offset_table() {
+        let frame = sample_frame(4);
+        for codec in [MaskCodec::Raw, MaskCodec::Rle] {
+            let (buf, stats) = encode(&frame, codec);
+            let mut expect = FRAME_HEADER_LEN;
+            expect += crate::varint::varint_len(stats.mask_bytes as u64) + stats.mask_bytes;
+            expect += crate::varint::varint_len(stats.payload_bytes as u64) + stats.payload_bytes;
+            assert_eq!(buf.len(), expect, "{codec:?}");
+            let view = EncodedFrameView::parse(&buf).unwrap();
+            assert_eq!(view.row_offsets(), frame.metadata().row_offsets.as_slice());
+        }
+    }
+
+    /// A raw-mask blob of the 4x2 frame with `R` at (1, 0) and (2, 1)
+    /// and the given payload.
+    fn raw_blob(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&4u32.to_le_bytes());
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.push(0); // raw mask encoding
+        buf.push(MASK_ENC_RAW);
         write_varint(&mut buf, 2); // mask_len
-        buf.extend_from_slice(&[0, 0]);
-        write_varint(&mut buf, 2); // rows
-        write_varint(&mut buf, u64::from(u32::MAX)); // offset base
-        write_varint(&mut buf, u64::MAX); // delta: overflows the accumulator
-        write_varint(&mut buf, 0);
-        write_varint(&mut buf, 0); // payload_len
-        let err = EncodedFrameView::parse_prefix(&buf).expect_err("must not panic");
-        assert!(matches!(err, WireError::CorruptFrame { .. }), "{err:?}");
-        assert!(err.to_string().contains("overflow"), "{err}");
+        buf.extend_from_slice(&[0b0000_1100, 0b0011_0000]);
+        write_varint(&mut buf, payload.len() as u64);
+        buf.extend_from_slice(payload);
+        buf
     }
 
     #[test]
-    fn delta_coded_offsets_cannot_encode_regressions() {
-        // A blob whose offset deltas are all valid parses monotonic by
-        // construction; corrupting a delta varint to a huge value trips
-        // the u32 overflow guard instead of producing a bogus table.
-        let frame = sample_frame(5);
-        let (buf, _) = encode(&frame, MaskCodec::Raw);
-        let view = EncodedFrameView::parse(&buf).unwrap();
-        assert!(view.row_offsets().windows(2).all(|w| w[0] <= w[1]));
+    fn offsets_are_derived_from_the_mask() {
+        let blob = raw_blob(&[7, 9]);
+        let view = EncodedFrameView::parse(&blob).unwrap();
+        assert_eq!(view.row_offsets(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn payload_length_other_than_the_mask_count_is_a_typed_error() {
+        for payload in [&[][..], &[7], &[7, 9, 11]] {
+            let err = EncodedFrameView::parse_prefix(&raw_blob(payload)).expect_err("must refuse");
+            assert!(matches!(err, WireError::CorruptFrame { .. }), "{err:?}");
+            assert!(err.to_string().contains("regional pixels"), "{err}");
+        }
     }
 }

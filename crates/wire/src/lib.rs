@@ -12,9 +12,11 @@
 //! later into a workload deterministically. That is this crate:
 //!
 //! - [`frame`] — one frame as a self-contained little-endian blob:
-//!   fixed header, RLE- or raw-coded EncMask, delta-varint row
-//!   offsets, raw payload last. See the module docs for the byte
-//!   layout.
+//!   fixed header, run- or raw-coded EncMask, raw payload last. The
+//!   row-offset table is not stored: the parser derives it from the
+//!   mask. See the module docs for the byte layout.
+//! - [`rle`] — the mask code: one varint per run of a solid status or
+//!   of a repeated pattern byte, so a strided row span is one run.
 //! - [`container`] — the `.rpr` file: CRC32-guarded chunks, a
 //!   trailing frame index for O(1) seek, a fixed trailer locating it,
 //!   and a sequential-scan recovery path for unfinished files.
@@ -32,8 +34,8 @@
 //! independent layers catch corruption:
 //!
 //! 1. **CRC32 per chunk** — transport damage (bit rot, torn writes).
-//! 2. **Structural parse** — truncation, bad varints, bad RLE,
-//!    inconsistent lengths.
+//! 2. **Structural parse** — truncation, bad varints, bad mask runs,
+//!    a payload length other than the mask's `R` count.
 //! 3. **Frame digest** ([`rpr_core::EncodedFrame::validate`]) — a
 //!    word-at-a-time digest over geometry, index, payload, mask and
 //!    offsets ([`rpr_core::EncodedFrame::compute_integrity`]). It
@@ -44,8 +46,9 @@
 //! [`EncodedFrameView::to_validated_frame`] returns the frame marked
 //! validated, and later boundaries (the decoder's `try_decode*`,
 //! [`encode_frame`]) skip the check for a marked frame. The digest
-//! changed in container version 2 ([`FORMAT_VERSION`]), so a version 1
-//! file is refused with [`WireError::UnsupportedVersion`].
+//! changed in container version 2 and the frame blob in version 3
+//! ([`FORMAT_VERSION`]), so older files are refused with
+//! [`WireError::UnsupportedVersion`].
 //!
 //! The `rpr-testkit` conformance harness injects faults at each layer
 //! and asserts the matching typed error.

@@ -1,5 +1,5 @@
 //! LEB128 unsigned varints, the variable-length integers of the wire
-//! format (lengths, row-offset deltas, index entries).
+//! format (lengths, mask runs, index entries).
 //!
 //! Encoding is the standard protobuf/WebAssembly scheme: 7 value bits
 //! per byte, little-endian groups, high bit = continuation. A `u64`

@@ -46,12 +46,12 @@ fn main() {
     let (bytes, stats) = recorder.finish().expect("container finalizes");
     println!(
         "recorded {} frames: {} payload bytes, masks {} B raw -> {} B written \
-         ({} RLE-coded), container {} B",
+         ({} run-coded), container {} B",
         stats.frames,
         stats.payload_bytes,
         stats.raw_mask_bytes,
         stats.mask_bytes_written,
-        stats.rle_frames,
+        stats.run_frames,
         stats.container_bytes,
     );
 

@@ -64,7 +64,7 @@ fn container_corpus_detects_every_fault() {
             report.faults_harmless,
             report.faults_skipped,
         );
-        assert_eq!(counts, (CASES, 549, 183, 128, 559, 0, 17), "{pool:?}");
+        assert_eq!(counts, (CASES, 549, 183, 128, 561, 0, 15), "{pool:?}");
         assert!(report.fault_counts.contains_key("frame-body-flip-crc-fixed"));
     }
 }
