@@ -80,25 +80,6 @@ fn bench_mask_kernels(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("kernel/run_scan");
-    configure(&mut group);
-    group.throughput(Throughput::Bytes(mask.len() as u64));
-    for chunked in [false, true] {
-        let name = if chunked { "chunked" } else { "scalar" };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &chunked, |b, &chunked| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                if chunked {
-                    kernels::for_each_run(&mask, 0, PIXELS, |_, run| acc += run);
-                } else {
-                    kernels::for_each_run_scalar(&mask, 0, PIXELS, |_, run| acc += run);
-                }
-                criterion::black_box(acc);
-            });
-        });
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("kernel/gather");
     configure(&mut group);
     group.throughput(Throughput::Bytes(PIXELS as u64));

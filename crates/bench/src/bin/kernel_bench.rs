@@ -10,6 +10,11 @@
 //! kernel_bench [--frames N] [--out FILE]
 //! ```
 //!
+//! Each kernel and its reference are timed back to back in alternating
+//! rounds; a row reports each side's median MB/s and the median of the
+//! per-round speedups, so host drift slower than one round stays out
+//! of the ratio.
+//!
 //! With `--out`, writes a `RunReport` whose `accuracy` map carries the
 //! per-kernel MB/s (scalar and chunked) and the speedup ratios — that
 //! is how `BENCH_kernels.json` at the repo root is produced, and what
@@ -69,24 +74,59 @@ fn parse_args() -> Args {
     args
 }
 
-/// Times `f` until at least 80 ms have accumulated (minimum 8 calls so
-/// a single slow outlier cannot own the measurement) and returns MB/s
-/// given `bytes` processed per call.
-fn mb_per_s(bytes: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..3 {
-        f();
-    }
+/// Rounds per scalar/chunked pair; an odd count has a middle value.
+const ROUNDS: usize = 9;
+
+/// Times `f` for at least 20 ms and 2 calls and returns MB/s given
+/// `bytes` processed per call.
+fn mb_per_s(bytes: usize, f: &mut impl FnMut()) -> f64 {
     let mut iters = 0u64;
     let t0 = Instant::now();
     loop {
         f();
         iters += 1;
-        if iters >= 8 && t0.elapsed().as_secs_f64() >= 0.08 {
+        if iters >= 2 && t0.elapsed().as_secs_f64() >= 0.02 {
             break;
         }
     }
     let secs = t0.elapsed().as_secs_f64();
     (bytes as f64 * iters as f64) / secs / 1e6
+}
+
+fn median(mut v: [f64; ROUNDS]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[ROUNDS / 2]
+}
+
+/// Measures one kernel against its scalar reference: `f(false)` runs
+/// the reference and `f(true)` the chunked kernel, each processing
+/// `bytes` per call. The two sides are timed back to back in
+/// `ROUNDS` alternating rounds (the first side swaps every round), so
+/// host drift slower than one round moves both sides alike and cancels
+/// in that round's ratio. Reports each side's median MB/s and the median of the
+/// per-round ratios.
+fn pair(kernel: &'static str, bytes: usize, mut f: impl FnMut(bool)) -> Pair {
+    for _ in 0..3 {
+        f(false);
+        f(true);
+    }
+    let (mut scalar, mut chunked, mut ratio) = ([0.0; ROUNDS], [0.0; ROUNDS], [0.0; ROUNDS]);
+    for r in 0..ROUNDS {
+        if r % 2 == 0 {
+            scalar[r] = mb_per_s(bytes, &mut || f(false));
+            chunked[r] = mb_per_s(bytes, &mut || f(true));
+        } else {
+            chunked[r] = mb_per_s(bytes, &mut || f(true));
+            scalar[r] = mb_per_s(bytes, &mut || f(false));
+        }
+        ratio[r] = chunked[r] / scalar[r];
+    }
+    Pair {
+        kernel,
+        scalar_mb_s: median(scalar),
+        chunked_mb_s: median(chunked),
+        speedup: median(ratio),
+    }
 }
 
 fn textured_frame(w: u32, h: u32, seed: u32) -> GrayFrame {
@@ -108,17 +148,12 @@ fn regions(w: u32, h: u32) -> RegionList {
     )
 }
 
-/// One scalar-vs-chunked measurement.
+/// One scalar-vs-chunked measurement (medians over rounds).
 struct Pair {
     kernel: &'static str,
     scalar_mb_s: f64,
     chunked_mb_s: f64,
-}
-
-impl Pair {
-    fn speedup(&self) -> f64 {
-        self.chunked_mb_s / self.scalar_mb_s
-    }
+    speedup: f64,
 }
 
 fn main() {
@@ -148,59 +183,32 @@ fn main() {
     {
         let mut packed = vec![0u8; mask_bytes.len()];
         let row = |y: u32| (y as usize) * (w as usize);
-        runs.push(Pair {
-            kernel: "mask_pack",
-            scalar_mb_s: mb_per_s(pixels, || {
-                for (y, pri) in row_pris.iter().enumerate() {
+        runs.push(pair("mask_pack", pixels, |chunked| {
+            for (y, pri) in row_pris.iter().enumerate() {
+                if chunked {
+                    kernels::pack_priority_row(&mut packed, row(y as u32), pri);
+                } else {
                     kernels::pack_priority_row_scalar(&mut packed, row(y as u32), pri);
                 }
-                std::hint::black_box(&packed);
-            }),
-            chunked_mb_s: mb_per_s(pixels, || {
-                for (y, pri) in row_pris.iter().enumerate() {
-                    kernels::pack_priority_row(&mut packed, row(y as u32), pri);
-                }
-                std::hint::black_box(&packed);
-            }),
-        });
+            }
+            std::hint::black_box(&packed);
+        }));
     }
-
-    // Run scanning: the decoder's traversal of the packed mask into
-    // (status, run-length) callbacks.
-    runs.push(Pair {
-        kernel: "run_scan",
-        scalar_mb_s: mb_per_s(mask_bytes.len(), || {
-            let mut acc = 0usize;
-            kernels::for_each_run_scalar(&mask_bytes, 0, pixels, |_, run| acc += run);
-            std::hint::black_box(acc);
-        }),
-        chunked_mb_s: mb_per_s(mask_bytes.len(), || {
-            let mut acc = 0usize;
-            kernels::for_each_run(&mask_bytes, 0, pixels, |_, run| acc += run);
-            std::hint::black_box(acc);
-        }),
-    });
 
     // Regional gather: the encoder's payload compaction.
     {
         let mut out = Vec::with_capacity(pixels);
-        runs.push(Pair {
-            kernel: "gather",
-            scalar_mb_s: mb_per_s(pixels, || {
-                out.clear();
-                for (y, pri) in row_pris.iter().enumerate() {
+        runs.push(pair("gather", pixels, |chunked| {
+            out.clear();
+            for (y, pri) in row_pris.iter().enumerate() {
+                if chunked {
+                    kernels::gather_regional(pri, frames[0].row(y as u32), &mut out);
+                } else {
                     kernels::gather_regional_scalar(pri, frames[0].row(y as u32), &mut out);
                 }
-                std::hint::black_box(out.len());
-            }),
-            chunked_mb_s: mb_per_s(pixels, || {
-                out.clear();
-                for (y, pri) in row_pris.iter().enumerate() {
-                    kernels::gather_regional(pri, frames[0].row(y as u32), &mut out);
-                }
-                std::hint::black_box(out.len());
-            }),
-        });
+            }
+            std::hint::black_box(out.len());
+        }));
     }
 
     // Mask-run coding, both directions, against the per-entry
@@ -209,43 +217,35 @@ fn main() {
         let mut out = Vec::new();
         rle::compress(&mask_bytes, pixels, &mut out);
         let compressed = out.clone();
-        runs.push(Pair {
-            kernel: "mask_compress",
-            scalar_mb_s: mb_per_s(mask_bytes.len(), || {
-                out.clear();
-                rle::compress_scalar(&mask_bytes, pixels, &mut out);
-                std::hint::black_box(out.len());
-            }),
-            chunked_mb_s: mb_per_s(mask_bytes.len(), || {
-                out.clear();
+        runs.push(pair("mask_compress", mask_bytes.len(), |chunked| {
+            out.clear();
+            if chunked {
                 rle::compress(&mask_bytes, pixels, &mut out);
-                std::hint::black_box(out.len());
-            }),
-        });
+            } else {
+                rle::compress_scalar(&mask_bytes, pixels, &mut out);
+            }
+            std::hint::black_box(out.len());
+        }));
         let mut packed = Vec::new();
-        runs.push(Pair {
-            kernel: "mask_inflate",
-            scalar_mb_s: mb_per_s(mask_bytes.len(), || {
-                let v = rle::inflate_scalar(&compressed, pixels).expect("own runs");
-                std::hint::black_box(v.len());
-            }),
-            chunked_mb_s: mb_per_s(mask_bytes.len(), || {
+        runs.push(pair("mask_inflate", mask_bytes.len(), |chunked| {
+            if chunked {
                 rle::inflate_into(&compressed, pixels, &mut packed).expect("own runs");
                 std::hint::black_box(packed.len());
-            }),
-        });
+            } else {
+                let v = rle::inflate_scalar(&compressed, pixels).expect("own runs");
+                std::hint::black_box(v.len());
+            }
+        }));
     }
 
     // CRC32 over the regional payload.
-    runs.push(Pair {
-        kernel: "crc32",
-        scalar_mb_s: mb_per_s(payload.len(), || {
-            std::hint::black_box(crc32::update_scalar(0xFFFF_FFFF, &payload));
-        }),
-        chunked_mb_s: mb_per_s(payload.len(), || {
-            std::hint::black_box(crc32::update(0xFFFF_FFFF, &payload));
-        }),
-    });
+    runs.push(pair("crc32", payload.len(), |chunked| {
+        std::hint::black_box(if chunked {
+            crc32::update(0xFFFF_FFFF, &payload)
+        } else {
+            crc32::update_scalar(0xFFFF_FFFF, &payload)
+        });
+    }));
 
     // A pose-like frame: one large stride-2 region, sampled. The span
     // encoder and the word-wide decoder against the per-pixel
@@ -258,17 +258,17 @@ fn main() {
         );
         let pool = BufferPool::new();
         let mut enc = RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
-        let chunked_mb_s = mb_per_s(pixels, || {
-            enc.encode(&frames[0], 0, &strided).recycle(&pool);
-        });
-        let scalar_mb_s = mb_per_s(pixels, || {
-            let mut stream = StreamingEncoder::begin(w, h, 0, strided.clone());
-            for &v in frames[0].as_slice() {
-                let _: PixelStatus = stream.push(v);
+        runs.push(pair("strided_encode", pixels, |chunked| {
+            if chunked {
+                enc.encode(&frames[0], 0, &strided).recycle(&pool);
+            } else {
+                let mut stream = StreamingEncoder::begin(w, h, 0, strided.clone());
+                for &v in frames[0].as_slice() {
+                    let _: PixelStatus = stream.push(v);
+                }
+                std::hint::black_box(stream.finish().pixel_count());
             }
-            std::hint::black_box(stream.finish().pixel_count());
-        });
-        runs.push(Pair { kernel: "strided_encode", scalar_mb_s, chunked_mb_s });
+        }));
 
         // The decoder on the three frame kinds a pose camera sends: a
         // full-frame capture, the stride-2 region sampled, and the same
@@ -292,14 +292,14 @@ fn main() {
                 dec.recycle_output(out);
                 refdec.decode(&history);
             }
-            let chunked_mb_s = mb_per_s(pixels, || {
-                let out = dec.decode(&encoded);
-                dec.recycle_output(out);
-            });
-            let scalar_mb_s = mb_per_s(pixels, || {
-                std::hint::black_box(refdec.decode(&encoded).as_slice().len());
-            });
-            runs.push(Pair { kernel, scalar_mb_s, chunked_mb_s });
+            runs.push(pair(kernel, pixels, |chunked| {
+                if chunked {
+                    let out = dec.decode(&encoded);
+                    dec.recycle_output(out);
+                } else {
+                    std::hint::black_box(refdec.decode(&encoded).as_slice().len());
+                }
+            }));
         }
     }
 
@@ -313,20 +313,16 @@ fn main() {
         let min_area = u64::from(w) * u64::from(h) / 600;
         let mut scratch = BlobScratch::new();
         let mut blobs = Vec::new();
-        runs.push(Pair {
-            kernel: "blob_label",
-            scalar_mb_s: mb_per_s(pixels * pose.len(), || {
-                for frame in &pose {
-                    std::hint::black_box(detect_blobs_scalar(frame, 150, min_area).len());
-                }
-            }),
-            chunked_mb_s: mb_per_s(pixels * pose.len(), || {
-                for frame in &pose {
+        runs.push(pair("blob_label", pixels * pose.len(), |chunked| {
+            for frame in &pose {
+                if chunked {
                     detect_blobs_into(&mut scratch, frame, 150, min_area, &mut blobs);
                     std::hint::black_box(blobs.len());
+                } else {
+                    std::hint::black_box(detect_blobs_scalar(frame, 150, min_area).len());
                 }
-            }),
-        });
+            }
+        }));
     }
 
     // Combined single-core encode→decode pipeline: the pooled chunked
@@ -337,34 +333,31 @@ fn main() {
         let pool = BufferPool::new();
         let mut enc = RhythmicEncoder::with_pool(w, h, EncoderConfig::default(), pool.clone());
         let mut dec = SoftwareDecoder::with_pool(w, h, ReconstructionMode::BlockNearest, pool);
-        let mut idx = 0u64;
-        let chunked = mb_per_s(pixels * args.frames, || {
-            for _ in 0..args.frames {
-                let frame = &frames[(idx % 4) as usize];
-                let e = enc.encode(frame, idx, &regions);
-                let out = dec.decode_owned(e);
-                dec.recycle_output(out);
-                idx += 1;
-            }
-        });
-
         let mut refdec = ReferenceDecoder::new(w, h, ReconstructionMode::BlockNearest);
-        let mut idx = 0u64;
-        let scalar = mb_per_s(pixels * args.frames, || {
+        // Each side keeps its own frame index across calls.
+        let (mut chunked_idx, mut scalar_idx) = (0u64, 0u64);
+        runs.push(pair("pipeline", pixels * args.frames, |chunked| {
             for _ in 0..args.frames {
-                let frame = &frames[(idx % 4) as usize];
-                let mut stream = StreamingEncoder::begin(w, h, idx, regions.clone());
-                for y in 0..h {
-                    for &v in frame.row(y) {
-                        let _: PixelStatus = stream.push(v);
+                if chunked {
+                    let frame = &frames[(chunked_idx % 4) as usize];
+                    let e = enc.encode(frame, chunked_idx, &regions);
+                    let out = dec.decode_owned(e);
+                    dec.recycle_output(out);
+                    chunked_idx += 1;
+                } else {
+                    let frame = &frames[(scalar_idx % 4) as usize];
+                    let mut stream = StreamingEncoder::begin(w, h, scalar_idx, regions.clone());
+                    for y in 0..h {
+                        for &v in frame.row(y) {
+                            let _: PixelStatus = stream.push(v);
+                        }
                     }
+                    let e = stream.finish();
+                    std::hint::black_box(refdec.decode(&e).as_slice().len());
+                    scalar_idx += 1;
                 }
-                let e = stream.finish();
-                std::hint::black_box(refdec.decode(&e).as_slice().len());
-                idx += 1;
             }
-        });
-        runs.push(Pair { kernel: "pipeline", scalar_mb_s: scalar, chunked_mb_s: chunked });
+        }));
     }
 
     let rows: Vec<Vec<String>> = runs
@@ -374,7 +367,7 @@ fn main() {
                 p.kernel.to_string(),
                 format!("{:.1}", p.scalar_mb_s),
                 format!("{:.1}", p.chunked_mb_s),
-                format!("{:.2}x", p.speedup()),
+                format!("{:.2}x", p.speedup),
             ]
         })
         .collect();
@@ -388,7 +381,7 @@ fn main() {
     for p in &runs {
         accuracy.insert(format!("{}_scalar_mb_s", p.kernel), p.scalar_mb_s);
         accuracy.insert(format!("{}_chunked_mb_s", p.kernel), p.chunked_mb_s);
-        accuracy.insert(format!("{}_speedup", p.kernel), p.speedup());
+        accuracy.insert(format!("{}_speedup", p.kernel), p.speedup);
     }
     let report = RunReport {
         schema_version: REPORT_SCHEMA_VERSION,

@@ -256,8 +256,6 @@ mod tests {
             "crates/core/src/pool.rs",
         ]),
         ("lints.hot_path_alloc.entries", &[
-            "crates/core/src/kernels.rs::for_each_run",
-            "crates/core/src/kernels.rs::for_each_run_scalar",
             "crates/core/src/kernels.rs::pack_priority_row",
             "crates/core/src/kernels.rs::pack_priority_row_scalar",
             "crates/core/src/kernels.rs::count_priorities",

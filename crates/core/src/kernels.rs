@@ -69,75 +69,6 @@ fn word_at(packed: &[u8], byte_idx: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// Calls `f(status, run_len)` for each maximal run of equal 2-bit
-/// statuses over packed entries `[start, start + len)`.
-///
-/// Runs are maximal (adjacent calls always differ in status), lengths
-/// are positive, and lengths sum to `len`. The hot loop skips 32
-/// entries per iteration whenever a whole u64 mask word continues the
-/// current run — uniform rows (all-`N` background, all-`R` interiors)
-/// are the common case in rhythmic masks.
-pub fn for_each_run(packed: &[u8], start: usize, len: usize, mut f: impl FnMut(u8, usize)) {
-    if len == 0 {
-        return;
-    }
-    let end = start + len;
-    let mut cur = entry_at(packed, start);
-    let mut run_start = start;
-    let mut i = start + 1;
-    while i < end {
-        if i.is_multiple_of(4) {
-            // Byte-aligned: extend the run by whole words, then whole
-            // bytes, while they splat the current status.
-            let sb = splat_byte(cur);
-            let sw = u64::from(sb) * 0x0101_0101_0101_0101;
-            while i + 32 <= end && word_at(packed, i / 4) == sw {
-                i += 32;
-            }
-            while i + 4 <= end && packed.get(i / 4).copied().unwrap_or(0) == sb {
-                i += 4;
-            }
-            if i >= end {
-                break;
-            }
-        }
-        let s = entry_at(packed, i);
-        if s != cur {
-            f(cur, i - run_start);
-            cur = s;
-            run_start = i;
-        }
-        i += 1;
-    }
-    f(cur, end - run_start);
-}
-
-/// Per-entry reference implementation of [`for_each_run`].
-pub fn for_each_run_scalar(
-    packed: &[u8],
-    start: usize,
-    len: usize,
-    mut f: impl FnMut(u8, usize),
-) {
-    if len == 0 {
-        return;
-    }
-    let end = start + len;
-    let mut cur = entry_at(packed, start);
-    let mut run = 1usize;
-    for i in start + 1..end {
-        let s = entry_at(packed, i);
-        if s == cur {
-            run += 1;
-        } else {
-            f(cur, run);
-            cur = s;
-            run = 1;
-        }
-    }
-    f(cur, run);
-}
-
 /// Number of `R` (`0b11`) entries among packed entries
 /// `[start, start + len)`; entries past the end of `packed` read as
 /// `0`.
@@ -565,68 +496,6 @@ pub(crate) fn entry_word(packed: &[u8], start_entry: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pack_entries(entries: &[u8]) -> Vec<u8> {
-        let mut packed = vec![0u8; entries.len().div_ceil(4)];
-        for (i, &e) in entries.iter().enumerate() {
-            if let Some(b) = packed.get_mut(i / 4) {
-                *b |= (e & 0b11) << ((i % 4) * 2);
-            }
-        }
-        packed
-    }
-
-    fn runs_of(packed: &[u8], start: usize, len: usize, chunked: bool) -> Vec<(u8, usize)> {
-        let mut v = Vec::new();
-        if chunked {
-            for_each_run(packed, start, len, |s, r| v.push((s, r)));
-        } else {
-            for_each_run_scalar(packed, start, len, |s, r| v.push((s, r)));
-        }
-        v
-    }
-
-    #[test]
-    fn run_scanner_matches_scalar_on_mixed_patterns() {
-        let entries: Vec<u8> =
-            (0..997).map(|i| [0, 0, 0, 3, 3, 3, 3, 1, 2, 0, 3][i % 11]).collect();
-        let packed = pack_entries(&entries);
-        for start in [0usize, 1, 3, 4, 5, 31, 32, 33, 100] {
-            for len in [0usize, 1, 2, 3, 4, 5, 7, 31, 32, 33, 64, 500, 997 - start] {
-                assert_eq!(
-                    runs_of(&packed, start, len, true),
-                    runs_of(&packed, start, len, false),
-                    "start {start} len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_scanner_handles_uniform_and_oob() {
-        // All one status: one run, even past the end of packed (OOB
-        // entries read as 0).
-        let packed = pack_entries(&[3u8; 64]);
-        assert_eq!(runs_of(&packed, 0, 64, true), vec![(3, 64)]);
-        assert_eq!(runs_of(&packed, 0, 100, true), vec![(3, 64), (0, 36)]);
-        assert_eq!(runs_of(&[], 0, 40, true), vec![(0, 40)]);
-        assert_eq!(runs_of(&packed, 0, 0, true), Vec::<(u8, usize)>::new());
-        // Single-entry runs at every byte phase.
-        let alt: Vec<u8> = (0..37).map(|i| (i % 2) * 3).collect();
-        let packed = pack_entries(&alt);
-        assert_eq!(runs_of(&packed, 0, 37, true), runs_of(&packed, 0, 37, false));
-    }
-
-    #[test]
-    fn runs_sum_to_len_and_alternate() {
-        let entries: Vec<u8> = (0..203).map(|i| ((i / 5) % 4) as u8).collect();
-        let packed = pack_entries(&entries);
-        let runs = runs_of(&packed, 2, 200, true);
-        assert_eq!(runs.iter().map(|&(_, r)| r).sum::<usize>(), 200);
-        for w in runs.windows(2) {
-            assert_ne!(w[0].0, w[1].0, "adjacent runs must differ");
-        }
-    }
 
     #[test]
     fn pack_row_matches_scalar_at_all_phases() {

@@ -52,17 +52,6 @@ fn packed_window() -> impl Strategy<Value = (Vec<u8>, usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The word-skipping run scanner and the per-entry scalar scanner
-    /// report identical (status, run-length) sequences from any phase.
-    #[test]
-    fn run_scanner_equals_scalar((packed, start, len) in packed_window()) {
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        kernels::for_each_run(&packed, start, len, |s, n| fast.push((s, n)));
-        kernels::for_each_run_scalar(&packed, start, len, |s, n| slow.push((s, n)));
-        prop_assert_eq!(fast, slow);
-    }
-
     /// The u64 row packer and the per-entry scalar packer produce
     /// byte-identical masks at every start phase.
     #[test]
@@ -99,16 +88,13 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// The word-popcount `R` counter agrees with summing the scalar
-    /// run scanner's `R` runs, from any 2-bit phase.
+    /// The word-popcount `R` counter agrees with a per-entry count of
+    /// `R` entries, from any 2-bit phase.
     #[test]
     fn regional_counter_equals_scalar((packed, start, len) in packed_window()) {
-        let mut slow = 0u64;
-        kernels::for_each_run_scalar(&packed, start, len, |s, n| {
-            if s == 0b11 {
-                slow += n as u64;
-            }
-        });
+        let slow = (start..start + len)
+            .filter(|&i| kernels::entry_at(&packed, i) == 0b11)
+            .count() as u64;
         prop_assert_eq!(kernels::count_regional(&packed, start, len), slow);
     }
 

@@ -1,24 +1,14 @@
 use rpr_core::EncodedFrame;
 use rpr_frame::PixelFormat;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// One sample of the resident framebuffer footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FootprintSample {
-    /// Frame index at which the sample was taken.
-    pub frame_idx: u64,
-    /// Resident bytes after that frame was admitted.
-    pub bytes: u64,
-}
 
 /// Tracks the DRAM bytes held by the encoded-frame buffers over time —
 /// the memory-footprint axis of Fig. 8 ("we measure the size of encoded
 /// frame buffers over time", §5.3.1).
 ///
 /// The pool retains a sliding window of frames (default 4, matching the
-/// decoder's history scratchpad) and records the footprint after each
-/// admission.
+/// decoder's history scratchpad) and samples the footprint after each
+/// admission into running totals (sum, count, peak), not a time series.
 ///
 /// # Example
 ///
@@ -26,17 +16,22 @@ pub struct FootprintSample {
 /// use rpr_memsim::FramebufferPool;
 ///
 /// let mut pool = FramebufferPool::new(4);
-/// pool.admit_raw(0, 1000);
-/// pool.admit_raw(1, 1000);
+/// pool.admit_raw(1000);
+/// pool.admit_raw(1000);
 /// assert_eq!(pool.current_bytes(), 2000);
 /// assert_eq!(pool.peak_bytes(), 2000);
+/// assert_eq!(pool.mean_bytes(), 1500.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FramebufferPool {
     window: usize,
-    resident: VecDeque<(u64, u64)>,
-    samples: Vec<FootprintSample>,
+    resident: VecDeque<u64>,
+    /// Sum of `resident`.
+    current: u64,
     peak: u64,
+    /// Admissions so far, and the sum of `current` after each.
+    samples: u64,
+    sample_sum: u64,
 }
 
 impl FramebufferPool {
@@ -49,34 +44,37 @@ impl FramebufferPool {
         assert!(window > 0, "window must hold at least one frame");
         FramebufferPool {
             window,
-            resident: VecDeque::new(),
-            samples: Vec::new(),
+            resident: VecDeque::with_capacity(window),
+            current: 0,
             peak: 0,
+            samples: 0,
+            sample_sum: 0,
         }
     }
 
     /// Admits an encoded frame: payload scaled by `format` plus
     /// metadata bytes. Evicts the oldest frame beyond the window.
     pub fn admit_encoded(&mut self, frame: &EncodedFrame, format: PixelFormat) {
-        let bytes = (frame.pixel_count() * format.bytes_per_pixel()
-            + frame.metadata_bytes()) as u64;
-        self.admit_raw(frame.frame_idx(), bytes);
+        self.admit_raw(
+            (frame.pixel_count() * format.bytes_per_pixel() + frame.metadata_bytes()) as u64,
+        );
     }
 
     /// Admits a frame of `bytes` (raw baseline frames).
-    pub fn admit_raw(&mut self, frame_idx: u64, bytes: u64) {
-        self.resident.push_back((frame_idx, bytes));
-        while self.resident.len() > self.window {
-            self.resident.pop_front();
+    pub fn admit_raw(&mut self, bytes: u64) {
+        if self.resident.len() == self.window {
+            self.current -= self.resident.pop_front().unwrap_or(0);
         }
-        let current = self.current_bytes();
-        self.peak = self.peak.max(current);
-        self.samples.push(FootprintSample { frame_idx, bytes: current });
+        self.resident.push_back(bytes);
+        self.current += bytes;
+        self.peak = self.peak.max(self.current);
+        self.samples += 1;
+        self.sample_sum += self.current;
     }
 
     /// Bytes currently resident.
     pub fn current_bytes(&self) -> u64 {
-        self.resident.iter().map(|&(_, b)| b).sum()
+        self.current
     }
 
     /// Largest footprint ever observed.
@@ -84,20 +82,14 @@ impl FramebufferPool {
         self.peak
     }
 
-    /// Mean footprint across all samples (the paper reports "the average
-    /// frame buffer size reduces by roughly 50 %").
+    /// Mean footprint across all admissions (the paper reports "the
+    /// average frame buffer size reduces by roughly 50 %").
     pub fn mean_bytes(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.samples == 0 {
             0.0
         } else {
-            self.samples.iter().map(|s| s.bytes as f64).sum::<f64>()
-                / self.samples.len() as f64
+            self.sample_sum as f64 / self.samples as f64
         }
-    }
-
-    /// The footprint time series.
-    pub fn samples(&self) -> &[FootprintSample] {
-        &self.samples
     }
 
     /// Number of frames currently resident.
@@ -115,9 +107,9 @@ mod tests {
     #[test]
     fn window_evicts_oldest() {
         let mut pool = FramebufferPool::new(2);
-        pool.admit_raw(0, 100);
-        pool.admit_raw(1, 200);
-        pool.admit_raw(2, 300);
+        pool.admit_raw(100);
+        pool.admit_raw(200);
+        pool.admit_raw(300);
         assert_eq!(pool.resident_frames(), 2);
         assert_eq!(pool.current_bytes(), 500);
         assert_eq!(pool.peak_bytes(), 500);
@@ -126,10 +118,10 @@ mod tests {
     #[test]
     fn peak_survives_shrinking() {
         let mut pool = FramebufferPool::new(2);
-        pool.admit_raw(0, 1000);
-        pool.admit_raw(1, 1000);
-        pool.admit_raw(2, 10);
-        pool.admit_raw(3, 10);
+        pool.admit_raw(1000);
+        pool.admit_raw(1000);
+        pool.admit_raw(10);
+        pool.admit_raw(10);
         assert_eq!(pool.current_bytes(), 20);
         assert_eq!(pool.peak_bytes(), 2000);
     }
@@ -137,10 +129,10 @@ mod tests {
     #[test]
     fn mean_covers_all_samples() {
         let mut pool = FramebufferPool::new(4);
-        pool.admit_raw(0, 100); // resident 100
-        pool.admit_raw(1, 300); // resident 400
-        assert!((pool.mean_bytes() - 250.0).abs() < 1e-9);
-        assert_eq!(pool.samples().len(), 2);
+        pool.admit_raw(100); // resident 100
+        pool.admit_raw(300); // resident 400
+        pool.admit_raw(0); // resident 400
+        assert_eq!(pool.mean_bytes(), 300.0);
     }
 
     #[test]

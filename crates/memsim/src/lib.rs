@@ -12,6 +12,11 @@
 //!
 //! [`FramebufferPool`] tracks the resident encoded-frame buffers over
 //! time for the memory-footprint axis of the paper's Fig. 8.
+//!
+//! Like the paper's instruments, both recorders report aggregates
+//! only: they keep running totals (sums, counts, peak), never a
+//! per-frame series, so their memory does not grow with the number of
+//! frames recorded.
 
 #![deny(missing_docs)]
 
@@ -24,7 +29,7 @@ mod traffic;
 
 pub use dram::{DmaWriter, DramConfig, DramModel, DramStats};
 pub use energy::{EnergyBreakdown, EnergyModel, FrameActivity};
-pub use framebuffer::{FramebufferPool, FootprintSample};
+pub use framebuffer::FramebufferPool;
 pub use placement::{
     in_sensor_saving_mj, placement_energy_mj, placement_traffic, EncoderPlacement,
     PlacementTraffic,

@@ -16,6 +16,17 @@ pub struct FrameTraffic {
 }
 
 impl FrameTraffic {
+    /// A frame whose `payload` and `metadata` bytes are each written
+    /// once and read back once.
+    pub fn written_and_read(payload: u64, metadata: u64) -> Self {
+        FrameTraffic {
+            payload_write: payload,
+            metadata_write: metadata,
+            payload_read: payload,
+            metadata_read: metadata,
+        }
+    }
+
     /// Total bytes written this frame.
     pub fn write_bytes(&self) -> u64 {
         self.payload_write + self.metadata_write
@@ -50,17 +61,19 @@ pub struct TrafficSummary {
     pub bytes_per_frame: f64,
 }
 
-/// Records per-frame pixel traffic and summarizes it at a frame rate —
-/// the paper's throughput simulator (§5.3.1).
+/// Accounts per-frame pixel traffic into running totals and summarizes
+/// them at a frame rate — the paper's throughput simulator (§5.3.1).
+/// It keeps no per-frame series: memory stays constant however many
+/// frames are recorded.
 ///
 /// # Example
 ///
 /// ```
-/// use rpr_memsim::TrafficRecorder;
+/// use rpr_memsim::{FrameTraffic, TrafficRecorder};
 ///
 /// let mut rec = TrafficRecorder::new(30.0);
-/// rec.record_raw_frame_read(1000);  // consumer reads the frame back
-/// rec.record_raw_frame_write(1000); // capture writes it; frame closes
+/// // Capture writes a raw frame; the consumer reads it back.
+/// rec.record_frame(FrameTraffic { payload_write: 1000, payload_read: 1000, ..Default::default() });
 /// let s = rec.summary();
 /// assert_eq!(s.write_bytes, 1000);
 /// assert_eq!(s.read_bytes, 1000);
@@ -69,9 +82,12 @@ pub struct TrafficSummary {
 #[derive(Debug, Clone)]
 pub struct TrafficRecorder {
     fps: f64,
-    frames: Vec<FrameTraffic>,
+    /// Traffic of the frame being recorded, before it is closed.
     current: FrameTraffic,
-    current_open: bool,
+    frames: u64,
+    write_bytes: u64,
+    read_bytes: u64,
+    metadata_bytes: u64,
 }
 
 impl TrafficRecorder {
@@ -84,9 +100,11 @@ impl TrafficRecorder {
         assert!(fps > 0.0, "fps must be positive");
         TrafficRecorder {
             fps,
-            frames: Vec::new(),
             current: FrameTraffic::default(),
-            current_open: false,
+            frames: 0,
+            write_bytes: 0,
+            read_bytes: 0,
+            metadata_bytes: 0,
         }
     }
 
@@ -98,99 +116,63 @@ impl TrafficRecorder {
     /// Records an encoded frame's write traffic (payload + metadata) and
     /// closes the frame. `format` scales payload pixels into bytes.
     pub fn record_encoded_write(&mut self, frame: &EncodedFrame, format: PixelFormat) {
-        self.current.payload_write +=
-            (frame.pixel_count() * format.bytes_per_pixel()) as u64;
-        self.current.metadata_write += frame.metadata_bytes() as u64;
-        self.end_frame();
+        self.record_frame(FrameTraffic {
+            payload_write: (frame.pixel_count() * format.bytes_per_pixel()) as u64,
+            metadata_write: frame.metadata_bytes() as u64,
+            ..FrameTraffic::default()
+        });
     }
 
     /// Records a full decoded read-back of an encoded frame: payload plus
-    /// metadata are read once each.
+    /// metadata are read once each. The frame stays open until
+    /// [`Self::record_encoded_write`] or [`Self::record_frame`] closes it.
     pub fn record_encoded_read(&mut self, frame: &EncodedFrame, format: PixelFormat) {
         self.current.payload_read +=
             (frame.pixel_count() * format.bytes_per_pixel()) as u64;
         self.current.metadata_read += frame.metadata_bytes() as u64;
     }
 
-    /// Records writing a raw (unencoded) frame of `bytes` and closes the
-    /// frame — the frame-based baselines.
-    pub fn record_raw_frame_write(&mut self, bytes: u64) {
-        self.current.payload_write += bytes;
-        self.end_frame();
-    }
-
-    /// Records reading `bytes` of raw frame data into the current frame.
-    pub fn record_raw_frame_read(&mut self, bytes: u64) {
-        self.current.payload_read += bytes;
-        self.mark_open();
-    }
-
-    /// Adds arbitrary extra read bytes (e.g. codec reference frames) to
-    /// the current frame.
-    pub fn record_extra_read(&mut self, bytes: u64) {
-        self.current.payload_read += bytes;
-        self.mark_open();
-    }
-
-    /// Adds arbitrary extra write bytes to the current frame.
-    pub fn record_extra_write(&mut self, bytes: u64) {
-        self.current.payload_write += bytes;
-        self.mark_open();
-    }
-
-    fn mark_open(&mut self) {
-        self.current_open = true;
-    }
-
-    /// Closes the current frame and starts the next one.
-    pub fn end_frame(&mut self) {
+    /// Adds `traffic` to the open frame, closes it into the running
+    /// totals and starts the next one.
+    pub fn record_frame(&mut self, traffic: FrameTraffic) {
+        let c = &mut self.current;
+        c.payload_write += traffic.payload_write;
+        c.metadata_write += traffic.metadata_write;
+        c.payload_read += traffic.payload_read;
+        c.metadata_read += traffic.metadata_read;
+        let frame = std::mem::take(c);
         if rpr_trace::is_enabled() {
-            let idx = self.frames.len() as u64;
             rpr_trace::counter_for_frame(
                 rpr_trace::names::DRAM_WRITE_BYTES,
                 "memsim",
-                idx,
-                self.current.write_bytes() as f64,
+                self.frames,
+                frame.write_bytes() as f64,
             );
             rpr_trace::counter_for_frame(
                 rpr_trace::names::DRAM_READ_BYTES,
                 "memsim",
-                idx,
-                self.current.read_bytes() as f64,
+                self.frames,
+                frame.read_bytes() as f64,
             );
         }
-        self.frames.push(self.current);
-        self.current = FrameTraffic::default();
-        self.current_open = false;
+        self.frames += 1;
+        self.write_bytes += frame.write_bytes();
+        self.read_bytes += frame.read_bytes();
+        self.metadata_bytes += frame.metadata_write + frame.metadata_read;
     }
 
-    /// Per-frame records so far (closed frames only).
-    pub fn frames(&self) -> &[FrameTraffic] {
-        &self.frames
-    }
-
-    /// Aggregates the recorded frames. An open (partially recorded)
-    /// frame is included.
+    /// Aggregates the closed frames.
     pub fn summary(&self) -> TrafficSummary {
-        let mut all: Vec<FrameTraffic> = self.frames.clone();
-        if self.current_open {
-            all.push(self.current);
-        }
-        let frames = all.len() as u64;
-        let write_bytes: u64 = all.iter().map(FrameTraffic::write_bytes).sum();
-        let read_bytes: u64 = all.iter().map(FrameTraffic::read_bytes).sum();
-        let metadata_bytes: u64 =
-            all.iter().map(|f| f.metadata_write + f.metadata_read).sum();
-        let bytes_per_frame = if frames == 0 {
+        let bytes_per_frame = if self.frames == 0 {
             0.0
         } else {
-            (write_bytes + read_bytes) as f64 / frames as f64
+            (self.write_bytes + self.read_bytes) as f64 / self.frames as f64
         };
         TrafficSummary {
-            frames,
-            write_bytes,
-            read_bytes,
-            metadata_bytes,
+            frames: self.frames,
+            write_bytes: self.write_bytes,
+            read_bytes: self.read_bytes,
+            metadata_bytes: self.metadata_bytes,
             throughput_mb_s: bytes_per_frame * self.fps / 1.0e6,
             bytes_per_frame,
         }
@@ -233,11 +215,15 @@ mod tests {
         assert_eq!(gray.summary().metadata_bytes, rgb.summary().metadata_bytes);
     }
 
+    fn written(bytes: u64) -> FrameTraffic {
+        FrameTraffic { payload_write: bytes, ..FrameTraffic::default() }
+    }
+
     #[test]
     fn throughput_is_bytes_per_frame_times_fps() {
         let mut rec = TrafficRecorder::new(10.0);
-        rec.record_raw_frame_write(1_000_000);
-        rec.record_raw_frame_write(3_000_000);
+        rec.record_frame(written(1_000_000));
+        rec.record_frame(written(3_000_000));
         let s = rec.summary();
         assert_eq!(s.frames, 2);
         assert!((s.bytes_per_frame - 2.0e6).abs() < 1e-9);
@@ -247,8 +233,11 @@ mod tests {
     #[test]
     fn reads_and_writes_are_separated() {
         let mut rec = TrafficRecorder::new(30.0);
-        rec.record_raw_frame_read(500);
-        rec.record_raw_frame_write(200);
+        rec.record_frame(FrameTraffic {
+            payload_read: 500,
+            payload_write: 200,
+            ..FrameTraffic::default()
+        });
         let s = rec.summary();
         assert_eq!(s.read_bytes, 500);
         assert_eq!(s.write_bytes, 200);
@@ -263,12 +252,17 @@ mod tests {
     }
 
     #[test]
-    fn open_frame_is_included_in_summary() {
+    fn open_frame_is_closed_by_the_next_record() {
+        let enc = encoded_quarter();
         let mut rec = TrafficRecorder::new(30.0);
-        rec.record_extra_read(100);
-        assert_eq!(rec.summary().read_bytes, 100);
-        assert_eq!(rec.summary().frames, 1);
-        assert!(rec.frames().is_empty());
+        rec.record_encoded_read(&enc, PixelFormat::Gray8);
+        assert_eq!(rec.summary(), TrafficRecorder::new(30.0).summary());
+        rec.record_frame(written(100));
+        let s = rec.summary();
+        assert_eq!(s.frames, 1);
+        assert_eq!(s.read_bytes, (256 + enc.metadata_bytes()) as u64);
+        assert_eq!(s.write_bytes, 100);
+        assert_eq!(s.metadata_bytes, enc.metadata_bytes() as u64);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rpr_memsim::{
     placement_traffic, DramConfig, DramModel, DramlessAnalysis, EncoderPlacement,
-    EnergyModel, FrameActivity, FramebufferPool,
+    EnergyModel, FrameActivity, FrameTraffic, FramebufferPool, TrafficRecorder, TrafficSummary,
 };
 
 proptest! {
@@ -56,12 +56,76 @@ proptest! {
         let mut pool = FramebufferPool::new(window);
         let mut peak_seen = 0u64;
         for (i, &s) in sizes.iter().enumerate() {
-            pool.admit_raw(i as u64, s);
+            pool.admit_raw(s);
             let expected: u64 = sizes[i.saturating_sub(window - 1)..=i].iter().sum();
             prop_assert_eq!(pool.current_bytes(), expected);
             peak_seen = peak_seen.max(expected);
             prop_assert_eq!(pool.peak_bytes(), peak_seen);
         }
+    }
+
+    /// The recorders keep running totals, not per-frame logs. Their
+    /// aggregates equal, bit for bit, a naive fold over the per-frame
+    /// sequence: integer sums for the traffic summary, and for the
+    /// footprint mean the sequential `f64` sum of the per-admission
+    /// resident bytes, as the per-frame logs were once summed.
+    #[test]
+    fn running_totals_equal_a_fold_over_the_frames(
+        frames in proptest::collection::vec(
+            (0u64..5_000_000, 0u64..200_000, 0u64..5_000_000, 0u64..200_000, 0u64..20_000_000),
+            0..200,
+        ),
+        window in 1usize..6,
+        fps in 1.0f64..240.0,
+    ) {
+        let traffic: Vec<FrameTraffic> = frames
+            .iter()
+            .map(|&(payload_write, metadata_write, payload_read, metadata_read, _)| FrameTraffic {
+                payload_write,
+                metadata_write,
+                payload_read,
+                metadata_read,
+            })
+            .collect();
+        let sizes: Vec<u64> = frames.iter().map(|f| f.4).collect();
+        let mut rec = TrafficRecorder::new(fps);
+        let mut pool = FramebufferPool::new(window);
+        for (&t, &s) in traffic.iter().zip(&sizes) {
+            rec.record_frame(t);
+            pool.admit_raw(s);
+        }
+
+        let n = traffic.len() as u64;
+        let write_bytes: u64 = traffic.iter().map(FrameTraffic::write_bytes).sum();
+        let read_bytes: u64 = traffic.iter().map(FrameTraffic::read_bytes).sum();
+        let metadata_bytes: u64 =
+            traffic.iter().map(|f| f.metadata_write + f.metadata_read).sum();
+        let bytes_per_frame =
+            if n == 0 { 0.0 } else { (write_bytes + read_bytes) as f64 / n as f64 };
+        let want = TrafficSummary {
+            frames: n,
+            write_bytes,
+            read_bytes,
+            metadata_bytes,
+            throughput_mb_s: bytes_per_frame * fps / 1.0e6,
+            bytes_per_frame,
+        };
+        let got = rec.summary();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got.bytes_per_frame.to_bits(), want.bytes_per_frame.to_bits());
+        prop_assert_eq!(got.throughput_mb_s.to_bits(), want.throughput_mb_s.to_bits());
+
+        let samples: Vec<u64> = (0..sizes.len())
+            .map(|i| sizes[i.saturating_sub(window - 1)..=i].iter().sum())
+            .collect();
+        let mean = if samples.is_empty() {
+            0.0
+        } else {
+            samples.iter().map(|&b| b as f64).sum::<f64>() / samples.len() as f64
+        };
+        prop_assert_eq!(pool.mean_bytes().to_bits(), mean.to_bits());
+        prop_assert_eq!(pool.peak_bytes(), samples.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(pool.current_bytes(), samples.last().copied().unwrap_or(0));
     }
 
     /// DRAM-less: fit fraction and avoided traffic are monotone in the

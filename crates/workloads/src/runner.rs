@@ -10,7 +10,7 @@ use rpr_core::{
     RegionLabel, RegionList, RegionRuntime, SoftwareDecoder,
 };
 use rpr_frame::{downscale_box, GrayFrame, PixelFormat, Plane, Rect};
-use rpr_memsim::{FramebufferPool, TrafficRecorder, TrafficSummary};
+use rpr_memsim::{FrameTraffic, FramebufferPool, TrafficRecorder, TrafficSummary};
 use rpr_stream::Feedback;
 use rpr_vision::{kmeans, resize_bilinear};
 use serde::{Deserialize, Serialize};
@@ -311,26 +311,26 @@ impl Pipeline {
             .with_frame(self.frame_idx);
         let bpp = self.cfg.format.bytes_per_pixel() as u64;
         let frame_bytes = u64::from(self.cfg.width) * u64::from(self.cfg.height) * bpp;
-        let out = match self.cfg.baseline {
+        let fraction_of_frame = |bytes: u64| bytes as f64 / frame_bytes.max(1) as f64;
+        // Each branch yields the frame the task sees plus this frame's
+        // one record: its traffic, its resident framebuffer bytes and
+        // its captured-pixel fraction.
+        let (out, traffic, resident, fraction) = match self.cfg.baseline {
             Baseline::Fch => {
-                self.traffic.record_raw_frame_read(frame_bytes);
-                self.traffic.record_raw_frame_write(frame_bytes);
-                self.pool.admit_raw(self.frame_idx, frame_bytes);
-                self.fractions.push(1.0);
-                raw.clone()
+                (raw.clone(), FrameTraffic::written_and_read(frame_bytes, 0), frame_bytes, 1.0)
             }
             Baseline::Fcl { factor } => {
                 let small = downscale_box(raw, factor.max(1));
                 let small_bytes =
                     u64::from(small.width()) * u64::from(small.height()) * bpp;
-                self.traffic.record_raw_frame_read(small_bytes);
-                self.traffic.record_raw_frame_write(small_bytes);
-                self.pool.admit_raw(self.frame_idx, small_bytes);
-                self.fractions
-                    .push(small_bytes as f64 / frame_bytes.max(1) as f64);
                 // Upscale back so the task sees full-frame coordinates
                 // (with the lost detail gone).
-                resize_bilinear(&small, self.cfg.width, self.cfg.height)
+                (
+                    resize_bilinear(&small, self.cfg.width, self.cfg.height),
+                    FrameTraffic::written_and_read(small_bytes, 0),
+                    small_bytes,
+                    fraction_of_frame(small_bytes),
+                )
             }
             Baseline::Rp { .. } => {
                 if let [prev, cur] = &self.decoded_history[..] {
@@ -388,32 +388,28 @@ impl Pipeline {
                 if let Some(tap) = self.encoded_tap.as_mut() {
                     tap(&encoded);
                 }
-                self.traffic.record_encoded_read(&encoded, self.cfg.format);
-                self.traffic.record_encoded_write(&encoded, self.cfg.format);
-                self.pool.admit_encoded(&encoded, self.cfg.format);
-                self.fractions.push(encoded.captured_fraction());
+                let payload = encoded.pixel_count() as u64 * bpp;
+                let metadata = encoded.metadata_bytes() as u64;
+                let fraction = encoded.captured_fraction();
                 let decoded = self.decoder.decode_owned(encoded);
                 if self.uses_motion_history() {
                     self.remember(&decoded);
                 }
-                decoded
+                (
+                    decoded,
+                    FrameTraffic::written_and_read(payload, metadata),
+                    payload + metadata,
+                    fraction,
+                )
             }
             Baseline::MultiRoi { max_regions, cycle_length } => {
                 if self.frame_idx.is_multiple_of(cycle_length) {
-                    self.traffic.record_raw_frame_read(frame_bytes);
-                    self.traffic.record_raw_frame_write(frame_bytes);
-                    self.pool.admit_raw(self.frame_idx, frame_bytes);
-                    self.fractions.push(1.0);
-                    raw.clone()
+                    (raw.clone(), FrameTraffic::written_and_read(frame_bytes, 0), frame_bytes, 1.0)
                 } else {
                     let boxes =
                         self.cluster_rois(&self.ctx.features, &self.ctx.detections, max_regions);
                     let roi_bytes: u64 =
                         boxes.iter().map(|b| b.area() * bpp).sum();
-                    self.traffic.record_raw_frame_read(roi_bytes);
-                    self.traffic.record_raw_frame_write(roi_bytes);
-                    self.pool.admit_raw(self.frame_idx, roi_bytes);
-                    self.fractions.push(roi_bytes as f64 / frame_bytes.max(1) as f64);
                     // Grouped per-region storage decodes to the regions
                     // pasted on black.
                     let mut out: GrayFrame = Plane::new(self.cfg.width, self.cfg.height);
@@ -424,7 +420,12 @@ impl Pipeline {
                             }
                         }
                     }
-                    out
+                    (
+                        out,
+                        FrameTraffic::written_and_read(roi_bytes, 0),
+                        roi_bytes,
+                        fraction_of_frame(roi_bytes),
+                    )
                 }
             }
             Baseline::H264 { .. } => {
@@ -433,16 +434,19 @@ impl Pipeline {
                 let (read, write) = codec.frame_traffic_bytes(self.cfg.width, self.cfg.height, &coded);
                 // Capture writes the raw frame; the consumer reads the
                 // decoded frame; the codec adds its own reference traffic.
-                self.traffic.record_raw_frame_read(frame_bytes + read * bpp);
-                self.traffic.record_extra_write(write * bpp);
-                self.traffic.record_raw_frame_write(frame_bytes);
+                let traffic = FrameTraffic {
+                    payload_write: frame_bytes + write * bpp,
+                    payload_read: frame_bytes + read * bpp,
+                    ..FrameTraffic::default()
+                };
                 // One buffer per frame; the 3-frame window keeps the
                 // codec's current + reference + reconstruction resident.
-                self.pool.admit_raw(self.frame_idx, frame_bytes);
-                self.fractions.push(1.0);
-                coded.reconstruction
+                (coded.reconstruction, traffic, frame_bytes, 1.0)
             }
         };
+        self.traffic.record_frame(traffic);
+        self.pool.admit_raw(resident);
+        self.fractions.push(fraction);
         self.frame_idx += 1;
         out
     }

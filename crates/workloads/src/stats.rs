@@ -28,11 +28,16 @@ pub struct RegionStats {
     pub frames: u64,
 }
 
-/// Accumulates the Table 4 statistics while a workload runs.
+/// Accumulates the Table 4 statistics while a workload runs, as
+/// running counts, sums and ranges: its memory does not grow with the
+/// number of frames observed.
 #[derive(Debug, Clone)]
 pub struct RegionStatsCollector {
     fps: f64,
-    region_counts: Vec<usize>,
+    /// Regional frames observed.
+    frames: u64,
+    /// Regions summed over those frames.
+    regions: u64,
     min_size: (u32, u32),
     max_size: (u32, u32),
     min_stride: u32,
@@ -46,7 +51,8 @@ impl RegionStatsCollector {
     pub fn new(fps: f64) -> Self {
         RegionStatsCollector {
             fps,
-            region_counts: Vec::new(),
+            frames: 0,
+            regions: 0,
             min_size: (u32::MAX, u32::MAX),
             max_size: (0, 0),
             min_stride: u32::MAX,
@@ -63,7 +69,8 @@ impl RegionStatsCollector {
         if is_full_capture {
             return;
         }
-        self.region_counts.push(regions.len());
+        self.frames += 1;
+        self.regions += regions.len() as u64;
         for r in regions {
             self.min_size = (self.min_size.0.min(r.w), self.min_size.1.min(r.h));
             self.max_size = (self.max_size.0.max(r.w), self.max_size.1.max(r.h));
@@ -77,11 +84,9 @@ impl RegionStatsCollector {
     /// Finalizes the statistics; `None` when no regional frame carried
     /// any region.
     pub fn finish(&self) -> Option<RegionStats> {
-        if self.region_counts.is_empty() || self.max_stride == 0 {
+        if self.frames == 0 || self.max_stride == 0 {
             return None;
         }
-        let avg = self.region_counts.iter().sum::<usize>() as f64
-            / self.region_counts.len() as f64;
         // A degenerate (zero/negative/non-finite) frame rate must not
         // leak inf/NaN rates into serialized reports.
         let frame_ms = if self.fps.is_finite() && self.fps > 0.0 {
@@ -90,14 +95,14 @@ impl RegionStatsCollector {
             0.0
         };
         Some(RegionStats {
-            avg_regions: avg,
+            avg_regions: self.regions as f64 / self.frames as f64,
             min_size: self.min_size,
             max_size: self.max_size,
             min_stride: self.min_stride,
             max_stride: self.max_stride,
             min_rate_ms: f64::from(self.min_skip) * frame_ms,
             max_rate_ms: f64::from(self.max_skip) * frame_ms,
-            frames: self.region_counts.len() as u64,
+            frames: self.frames,
         })
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests for the workloads crate: datasets, codec, baselines.
 
 use proptest::prelude::*;
+use rpr_core::{RegionLabel, RegionList};
 use rpr_frame::Plane;
 use rpr_workloads::datasets::{FaceDataset, PoseDataset, SlamDataset, VideoDataset};
-use rpr_workloads::{H264Model, H264Quality};
+use rpr_workloads::{H264Model, H264Quality, RegionStatsCollector};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -73,6 +74,66 @@ proptest! {
         prop_assert!((mm[idx].x - pose.x * ds.mm_per_px).abs() < 1e-9);
         prop_assert!((mm[idx].y - pose.y * ds.mm_per_px).abs() < 1e-9);
         prop_assert_eq!(mm[idx].theta, pose.theta);
+    }
+
+    /// The region-statistics collector keeps running counts and sums,
+    /// not a per-frame log; `finish()` equals, bit for bit, a naive
+    /// fold over the regional frames' region lists.
+    #[test]
+    fn region_stats_equal_a_fold_over_the_frames(
+        frames in proptest::collection::vec(
+            (
+                0u8..4,
+                proptest::collection::vec(
+                    (0u32..600, 0u32..440, 1u32..200, 1u32..200, 1u32..6, 1u32..6),
+                    0..6,
+                ),
+            ),
+            0..60,
+        ),
+        fps in 1.0f64..120.0,
+    ) {
+        let lists: Vec<(bool, RegionList)> = frames
+            .into_iter()
+            .map(|(pick, labels)| {
+                let labels = labels
+                    .into_iter()
+                    .map(|(x, y, w, h, stride, skip)| RegionLabel::new(x, y, w, h, stride, skip))
+                    .collect();
+                (pick == 0, RegionList::new_lossy(640, 480, labels))
+            })
+            .collect();
+        let mut collector = RegionStatsCollector::new(fps);
+        for (full, list) in &lists {
+            collector.observe(list, *full);
+        }
+        let got = collector.finish();
+
+        let regional: Vec<&RegionList> =
+            lists.iter().filter(|(full, _)| !full).map(|(_, l)| l).collect();
+        let labels: Vec<&RegionLabel> = regional.iter().flat_map(|l| l.labels()).collect();
+        if regional.is_empty() || labels.is_empty() {
+            prop_assert!(got.is_none());
+        } else {
+            let got = got.unwrap();
+            let counts: Vec<usize> = regional.iter().map(|l| l.len()).collect();
+            let avg = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
+            prop_assert_eq!(got.avg_regions.to_bits(), avg.to_bits());
+            prop_assert_eq!(got.frames, counts.len() as u64);
+            let min_w = labels.iter().map(|r| r.w).min().unwrap();
+            let min_h = labels.iter().map(|r| r.h).min().unwrap();
+            let max_w = labels.iter().map(|r| r.w).max().unwrap();
+            let max_h = labels.iter().map(|r| r.h).max().unwrap();
+            prop_assert_eq!(got.min_size, (min_w, min_h));
+            prop_assert_eq!(got.max_size, (max_w, max_h));
+            prop_assert_eq!(got.min_stride, labels.iter().map(|r| r.stride).min().unwrap());
+            prop_assert_eq!(got.max_stride, labels.iter().map(|r| r.stride).max().unwrap());
+            let frame_ms = 1000.0 / fps;
+            let min_skip = labels.iter().map(|r| r.skip).min().unwrap();
+            let max_skip = labels.iter().map(|r| r.skip).max().unwrap();
+            prop_assert_eq!(got.min_rate_ms.to_bits(), (f64::from(min_skip) * frame_ms).to_bits());
+            prop_assert_eq!(got.max_rate_ms.to_bits(), (f64::from(max_skip) * frame_ms).to_bits());
+        }
     }
 
     /// Face ground truth only ever reports faces with meaningful

@@ -35,7 +35,7 @@ fn main() {
         let out = run_slam(&dataset, baseline);
         let m = &out.measurements;
         let px = u64::from(dataset.width()) * u64::from(dataset.height());
-        let frames = m.captured_fractions.len() as u64;
+        let frames = m.traffic.frames;
         let activity = FrameActivity {
             sensed_px: px,
             csi_px: px,

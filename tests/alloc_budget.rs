@@ -15,9 +15,14 @@
 //! planes are dropped allocates exactly its plane per frame, over
 //! full-frame, stride-2 and skipped pose frames, and the encoder none.
 //!
+//! A third holds the pipeline's three measurement recorders (traffic,
+//! framebuffer footprint, region statistics) to no allocation at all
+//! over 10,000 warm frames: they keep running totals, not per-frame
+//! logs, so a camera's accounting does not grow with its uptime.
+//!
 //! It lives in its own test binary because the tallying allocator is
 //! process-wide: other tests' allocations would bleed into the tally.
-//! The two tests here take one lock, so they never overlap either.
+//! The tests here take one lock, so they never overlap either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,10 +33,11 @@ use rhythmic_pixel_regions::core::{
     SoftwareDecoder,
 };
 use rhythmic_pixel_regions::frame::GrayFrame;
+use rhythmic_pixel_regions::memsim::{FrameTraffic, FramebufferPool, TrafficRecorder};
 use rhythmic_pixel_regions::stream::{CaptureStage, Feedback, TaskStage};
 use rhythmic_pixel_regions::workloads::datasets::VideoDataset;
 use rhythmic_pixel_regions::workloads::{
-    Baseline, PipelineCapture, PipelineConfig, PoseDataset, PoseTask,
+    Baseline, PipelineCapture, PipelineConfig, PoseDataset, PoseTask, RegionStatsCollector,
 };
 
 /// Passes through to the system allocator, counting every allocation
@@ -70,10 +76,10 @@ static SERIAL: Mutex<()> = Mutex::new(());
 const W: u32 = 256;
 const H: u32 = 192;
 /// Seventeen policy cycles (`Rp { cycle_length: 5 }`). The shared
-/// buffers settle within four; the rest runs the pipeline's per-frame
-/// measurement logs (captured fractions, traffic, footprint samples,
-/// region counts), which grow by doubling, past their 64-entry growth,
-/// so the first windows hold no amortized growth.
+/// buffers settle within four; the rest runs the pipeline's one
+/// per-frame log (the captured-fraction series), which grows by
+/// doubling, past its 64-entry growth, so the first windows hold no
+/// amortized growth.
 const WARMUP: usize = 85;
 const WINDOW: usize = 20;
 const WINDOWS: usize = 5;
@@ -172,5 +178,51 @@ fn warm_decoder_allocates_only_its_plane_on_pose_frames() {
     panic!(
         "(encode, decode) allocations in {WINDOWS} windows of {FRAMES} pose frames: {windows:?}; \
          want no encode allocations and exactly one decoded plane per frame"
+    );
+}
+
+#[test]
+fn warm_recorders_allocate_nothing_over_ten_thousand_frames() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const FRAMES: u64 = 10_000;
+    let full = RegionList::full_frame(W, H);
+    let body = RegionList::new(W, H, vec![RegionLabel::new(61, 17, 130, 150, 2, 2)])
+        .expect("in-frame region");
+    // Each attempt builds fresh recorders, so a per-frame log would
+    // grow (by doubling) inside every attempt's 10,000 frames. As
+    // above, one clean attempt in five is required.
+    let mut attempts = Vec::with_capacity(WINDOWS);
+    for _ in 0..WINDOWS {
+        let mut traffic = TrafficRecorder::new(30.0);
+        let mut footprint = FramebufferPool::new(4);
+        let mut stats = RegionStatsCollector::new(30.0);
+        // The shape of `Pipeline`'s per-frame record: a full capture
+        // every fifth frame, one strided region in between.
+        let mut step = |i: u64| {
+            let is_full = i.is_multiple_of(5);
+            let payload = if is_full { u64::from(W * H) } else { 65 * 75 };
+            let metadata = u64::from(W * H) / 4 + i % 7;
+            traffic.record_frame(FrameTraffic::written_and_read(payload, metadata));
+            footprint.admit_raw(payload + metadata);
+            stats.observe(if is_full { &full } else { &body }, is_full);
+        };
+        // Warm: fill the footprint window.
+        for i in 0..8 {
+            step(i);
+        }
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        for i in 8..8 + FRAMES {
+            step(i);
+        }
+        let grew = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        attempts.push(grew);
+        if grew == 0 {
+            assert_eq!(traffic.summary().frames, 8 + FRAMES);
+            return;
+        }
+    }
+    panic!(
+        "the traffic, footprint and region-stats recorders allocated {attempts:?} times over \
+         {FRAMES} warm frames in {WINDOWS} attempts; want 0: they keep running totals"
     );
 }
